@@ -134,7 +134,15 @@ def decode_value(node: Any, path: str, payloads: Dict[str, np.ndarray]) -> Any:
                     f"of this build"
                 )
             state = decode_value(node["state"], f"{path}<{entry.name}>", payloads)
-            return entry.from_state(state)
+            try:
+                return entry.from_state(state)
+            except (TypeError, ValueError) as exc:
+                # e.g. a persisted constructor parameter this build's
+                # class no longer accepts: an artifact error, not a crash.
+                raise StateError(
+                    f"{path}: cannot rebuild {entry.name} from its saved "
+                    f"state: {exc}"
+                ) from exc
         raise StateError(f"{path}: unrecognised codec node {kind!r}")
     raise StateError(f"{path}: unrecognised JSON value of type {type(node).__name__}")
 

@@ -23,9 +23,10 @@ Two execution engines share the reporting path:
 
 * :func:`run_load` with ``workers="threads"`` drives a real HTTP server
   (:class:`HttpTransport`) with actual concurrency;
-* ``workers="inline"`` runs a single-threaded discrete-event simulation
-  of a FIFO server (service times supplied by the transport), used by
-  the deterministic tests and the queueing-math sanity checks.
+* ``workers="inline"`` runs :func:`simulate_fifo`, the discrete-event
+  queue model the worker-scaling sweep also uses, at one server with
+  zero dispatch cost (service times supplied by the transport).  The
+  deterministic tests and the queueing-math sanity checks run on it.
 """
 
 from __future__ import annotations
@@ -92,33 +93,42 @@ class FakeClock:
 # ----------------------------------------------------------------------
 # transports
 # ----------------------------------------------------------------------
-class HttpTransport:
-    """POST rows to a live ``/predict`` endpoint; returns (status, seconds).
+def http_request(
+    url: str, body: Optional[bytes] = None, *, timeout_s: float
+) -> Tuple[int, bytes]:
+    """POST a JSON ``body`` (GET when ``None``) on a fresh connection.
 
-    Transport-level failures (refused connection, timeout) report status
-    ``0`` so they are distinguishable from server-side 5xx in the
-    report's ``status_counts``.
+    Returns ``(status, response_body)``.  Transport-level failures
+    (refused connection, timeout) report status ``0`` with an empty
+    body, so they are distinguishable from server-side 5xx.
+    """
+    req = urllib.request.Request(
+        url, data=body, headers={"Content-Type": "application/json"}
+    )
+    try:
+        with urllib.request.urlopen(req, timeout=timeout_s) as resp:
+            return int(resp.status), resp.read()
+    except urllib.error.HTTPError as exc:
+        return int(exc.code), exc.read()
+    except (urllib.error.URLError, OSError, TimeoutError):
+        return 0, b""
+
+
+class HttpTransport:
+    """POST rows to a live ``/v1/predict`` endpoint; returns (status, seconds).
+
+    Transport-level failures report status ``0`` (see
+    :func:`http_request`) in the report's ``status_counts``.
     """
 
     def __init__(self, base_url: str, *, timeout_s: float = 30.0) -> None:
-        self.url = base_url.rstrip("/") + "/predict"
+        self.url = base_url.rstrip("/") + "/v1/predict"
         self.timeout_s = float(timeout_s)
 
     def send(self, rows: Sequence[Sequence[float]]) -> Tuple[int, float]:
         body = json.dumps({"rows": [list(map(float, r)) for r in rows]}).encode("utf-8")
-        req = urllib.request.Request(
-            self.url, data=body, headers={"Content-Type": "application/json"}
-        )
         started = time.perf_counter()
-        try:
-            with urllib.request.urlopen(req, timeout=self.timeout_s) as resp:
-                resp.read()
-                status = int(resp.status)
-        except urllib.error.HTTPError as exc:
-            exc.read()
-            status = int(exc.code)
-        except (urllib.error.URLError, OSError, TimeoutError):
-            status = 0
+        status, _ = http_request(self.url, body, timeout_s=self.timeout_s)
         return status, time.perf_counter() - started
 
 
@@ -301,54 +311,64 @@ def summarize(
 # ----------------------------------------------------------------------
 # engines
 # ----------------------------------------------------------------------
-def _run_inline(
+def simulate_fifo(
     traffic: TrafficSpec,
-    transport: Any,
-    clock: Any,
-    request_rows: List[np.ndarray],
+    request: Callable[[int], Tuple[int, float]],
+    *,
+    n_workers: int = 1,
+    dispatch_s: float = 0.0,
 ) -> Tuple[List[float], List[int], float]:
-    """Single-threaded discrete-event simulation of a FIFO server.
+    """Discrete-event run of ``traffic`` against an N-server FIFO queue.
 
-    The transport supplies each request's service time; the engine does
-    the queueing math.  Latency = completion − arrival, exactly as a
-    client would measure it.  Fully deterministic under a fake clock.
+    Topology: requests pass through one serialised dispatcher
+    (``dispatch_s`` each, FIFO in arrival order), then queue centrally
+    for the earliest-free of ``n_workers`` servers.  ``request(i)`` is
+    called exactly once per request, in request order, and returns that
+    request's ``(status, service_seconds)``.  Latency is completion
+    minus arrival, exactly as a client measures it.  Pure virtual time
+    starting at 0 — no clock, no sleeping, bit-stable across machines.
+
+    Returns ``(latencies_s, statuses, duration_s)`` ready for
+    :func:`summarize`.
     """
-    start = clock.now()
+    traffic.validate()
+    if n_workers < 1:
+        raise ScenarioError(f"n_workers must be >= 1, got {n_workers}")
+    if dispatch_s < 0:
+        raise ScenarioError(f"dispatch_s must be >= 0, got {dispatch_s}")
+    dispatch = float(dispatch_s)
     latencies: List[float] = []
     statuses: List[int] = []
-    server_free = start
+    servers: List[float] = [0.0] * n_workers
+    dispatcher_free = 0.0
+    last_completion = 0.0
+
+    def serve_one(i: int, arrival: float) -> float:
+        nonlocal dispatcher_free, last_completion
+        dispatched = max(arrival, dispatcher_free) + dispatch
+        dispatcher_free = dispatched
+        status, service = request(i)
+        free_at = heapq.heappop(servers)
+        completion = max(dispatched, free_at) + float(service)
+        heapq.heappush(servers, completion)
+        latency = completion - arrival
+        latencies.append(latency)
+        statuses.append(int(status))
+        record_load_request(latency, status)
+        last_completion = max(last_completion, completion)
+        return completion
+
     if traffic.mode == "open":
-        arrivals = start + arrival_schedule(traffic)
-        for i, arrival in enumerate(arrivals):
-            if clock.now() < arrival:
-                clock.sleep(arrival - clock.now())
-            status, service = transport.send(request_rows[i])
-            begin = max(arrival, server_free)
-            completion = begin + service
-            server_free = completion
-            if clock.now() < completion:
-                clock.sleep(completion - clock.now())
-            latencies.append(completion - arrival)
-            statuses.append(status)
-            record_load_request(completion - arrival, status)
-        end = max(clock.now(), server_free)
-    else:  # closed loop: one in-flight request per worker, FIFO server
-        ready = [(start, w) for w in range(traffic.concurrency)]
-        heapq.heapify(ready)
+        for i, arrival in enumerate(arrival_schedule(traffic).tolist()):
+            serve_one(i, arrival)
+    else:
+        # Closed loop: each of ``concurrency`` clients re-arrives when its
+        # previous request completes; arrival times emerge from the run.
+        ready = [(0.0, c) for c in range(traffic.concurrency)]
         for i in range(traffic.n_requests):
-            arrival, worker = heapq.heappop(ready)
-            status, service = transport.send(request_rows[i])
-            begin = max(arrival, server_free)
-            completion = begin + service
-            server_free = completion
-            latencies.append(completion - arrival)
-            statuses.append(status)
-            record_load_request(completion - arrival, status)
-            heapq.heappush(ready, (completion, worker))
-        end = max(server_free, start)
-        if clock.now() < end:
-            clock.sleep(end - clock.now())
-    return latencies, statuses, end - start
+            arrival, client = heapq.heappop(ready)
+            heapq.heappush(ready, (serve_one(i, arrival), client))
+    return latencies, statuses, last_completion
 
 
 def _run_threaded(
@@ -436,7 +456,9 @@ def run_load(
         single zero-feature row (transport stand-ins ignore payloads).
     workers:
         ``"threads"`` for real concurrency, ``"inline"`` for the
-        deterministic single-threaded simulation.
+        deterministic :func:`simulate_fifo` run (one server, zero
+        dispatch cost); the inline run advances ``clock`` by its
+        simulated duration.
     """
     traffic.validate()
     slo = slo or SLOSpec()
@@ -448,14 +470,21 @@ def run_load(
     rows = np.asarray(rows, dtype=np.float64)
     plan = request_row_indices(traffic, rows.shape[0])
     request_rows = [rows[plan[i]] for i in range(traffic.n_requests)]
-    engine = _run_inline if workers == "inline" else _run_threaded
     with span(
         "scenarios.load_run",
         mode=traffic.mode,
         n_requests=traffic.n_requests,
         workers=workers,
     ):
-        latencies, statuses, duration = engine(traffic, transport, clock, request_rows)
+        if workers == "inline":
+            latencies, statuses, duration = simulate_fifo(
+                traffic, lambda i: transport.send(request_rows[i])
+            )
+            clock.sleep(duration)
+        else:
+            latencies, statuses, duration = _run_threaded(
+                traffic, transport, clock, request_rows
+            )
     report = summarize(traffic, slo, latencies, statuses, duration)
     record_load_run(report)
     return report
@@ -524,7 +553,9 @@ __all__ = [
     "arrival_schedule",
     "evaluate_slo",
     "find_saturation",
+    "http_request",
     "request_row_indices",
     "run_load",
+    "simulate_fifo",
     "summarize",
 ]

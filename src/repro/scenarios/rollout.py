@@ -31,14 +31,13 @@ import json
 import tempfile
 import threading
 import time
-import urllib.error
-import urllib.request
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.obs import span
 from repro.persist import artifact_sha
 from repro.scenarios.errors import ScenarioError
+from repro.scenarios.load import http_request
 from repro.scenarios.resolve import build_artifact, build_dataset, serve_config
 from repro.scenarios.schema import ScenarioSpec
 from repro.serve.pool import FLUSH_PERIOD_S, ServePool
@@ -52,8 +51,7 @@ CONFIRMS_PER_WORKER = 3
 
 
 # ----------------------------------------------------------------------
-# minimal HTTP helpers (the load generator's transport speaks the legacy
-# /predict endpoint; the drill needs the /v1 envelope's artifact_sha)
+# HTTP (the load generator's connect-per-request helper)
 # ----------------------------------------------------------------------
 def _request_json(
     url: str,
@@ -67,20 +65,11 @@ def _request_json(
     bucket the drill asserts stays empty.
     """
     data = None if payload is None else json.dumps(payload).encode("utf-8")
-    req = urllib.request.Request(
-        url, data=data, headers={"Content-Type": "application/json"}
-    )
+    status, raw = http_request(url, data, timeout_s=timeout_s)
     try:
-        with urllib.request.urlopen(req, timeout=timeout_s) as resp:
-            return int(resp.status), json.loads(resp.read().decode("utf-8"))
-    except urllib.error.HTTPError as exc:
-        try:
-            body = json.loads(exc.read().decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            body = {}
-        return int(exc.code), body
-    except (urllib.error.URLError, OSError, TimeoutError, ValueError):
-        return 0, {}
+        return status, json.loads(raw.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError is a ValueError
+        return status, {}
 
 
 def _await_sha(
@@ -125,14 +114,11 @@ def _await_candidate(base_url: str, *, confirms: int, timeout_s: float) -> bool:
 
 def _scrape_lifecycle_metrics(base_url: str, *, timeout_s: float) -> Dict[str, float]:
     """Unlabelled ``repro_lifecycle_*`` / worker-restart series from /metrics."""
-    req = urllib.request.Request(f"{base_url}/metrics")
-    try:
-        with urllib.request.urlopen(req, timeout=timeout_s) as resp:
-            text = resp.read().decode("utf-8")
-    except (urllib.error.URLError, OSError, TimeoutError):
+    status, raw = http_request(f"{base_url}/metrics", timeout_s=timeout_s)
+    if status != 200:
         return {}
     out: Dict[str, float] = {}
-    for line in text.splitlines():
+    for line in raw.decode("utf-8").splitlines():
         if line.startswith("#") or " " not in line:
             continue
         name, _, value = line.partition(" ")

@@ -12,8 +12,9 @@ report shape, and every report says which engine produced it:
   the real fused-predict path via :func:`measure_service_time`.  This is
   the honest way to state N-worker scaling on a single-core CI box
   (running four processes on one core measures the scheduler, not the
-  pool); it is the same discipline as the ``workers="inline"`` load
-  engine and the queueing self-checks in ``bench_scenarios.py``.
+  pool); it runs on the same queue model as the ``workers="inline"``
+  load engine (:func:`~repro.scenarios.load.simulate_fifo`) and the
+  queueing self-checks in ``bench_scenarios.py``.
 * ``engine="http"`` — real requests against a live
   :class:`~repro.serve.pool.ServePool` per worker count, for multi-core
   machines where wall-clock scaling is measurable.
@@ -35,7 +36,6 @@ without modelling its per-connection hashing.
 
 from __future__ import annotations
 
-import heapq
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -48,11 +48,11 @@ from repro.scenarios.errors import ScenarioError
 from repro.scenarios.load import (
     HttpTransport,
     LoadReport,
-    arrival_schedule,
     run_load,
+    simulate_fifo,
     summarize,
 )
-from repro.scenarios.metrics import record_load_request, record_load_run
+from repro.scenarios.metrics import record_load_run
 from repro.scenarios.schema import SLOSpec, TrafficSpec
 
 ServiceModel = Union[float, Callable[[int], float]]
@@ -77,64 +77,21 @@ def simulate_pool(
 ) -> Tuple[List[float], List[int], float]:
     """Discrete-event run of ``traffic`` against an N-worker pool.
 
-    Topology: requests pass through one serialised dispatcher
-    (``dispatch_s`` each, FIFO in arrival order), then queue centrally
-    for the earliest-free of ``n_workers`` servers (``service_s`` each).
-    Latency is completion minus arrival, exactly as a client measures
-    it.  Pure virtual time — no clock, no sleeping, bit-stable across
-    machines.
+    Feeds a service-time model (``service_s`` per request, optional
+    ``status_fn`` error injector) into
+    :func:`~repro.scenarios.load.simulate_fifo`, the queue model the
+    inline load engine runs on: one serialised dispatcher
+    (``dispatch_s`` each) in front of ``n_workers`` FIFO servers.
 
     Returns ``(latencies_s, statuses, duration_s)`` ready for
     :func:`~repro.scenarios.load.summarize`.
     """
-    traffic.validate()
-    if n_workers < 1:
-        raise ScenarioError(f"n_workers must be >= 1, got {n_workers}")
-    if dispatch_s < 0:
-        raise ScenarioError(f"dispatch_s must be >= 0, got {dispatch_s}")
     service = _service_fn(service_s)
-    dispatch = float(dispatch_s)
 
-    if traffic.mode == "open":
-        arrivals: Sequence[float] = arrival_schedule(traffic).tolist()
-    else:
-        # Closed loop: each of ``concurrency`` clients re-arrives when its
-        # previous request completes; arrival times emerge from the run.
-        arrivals = []
+    def request(i: int) -> Tuple[int, float]:
+        return (200 if status_fn is None else status_fn(i)), service(i)
 
-    latencies: List[float] = []
-    statuses: List[int] = []
-    servers: List[float] = [0.0] * n_workers
-    heapq.heapify(servers)
-    dispatcher_free = 0.0
-    last_completion = 0.0
-
-    def serve_one(i: int, arrival: float) -> float:
-        nonlocal dispatcher_free, last_completion
-        dispatched = max(arrival, dispatcher_free) + dispatch
-        dispatcher_free = dispatched
-        free_at = heapq.heappop(servers)
-        completion = max(dispatched, free_at) + service(i)
-        heapq.heappush(servers, completion)
-        latency = completion - arrival
-        status = status_fn(i) if status_fn is not None else 200
-        latencies.append(latency)
-        statuses.append(int(status))
-        record_load_request(latency, status)
-        last_completion = max(last_completion, completion)
-        return completion
-
-    if traffic.mode == "open":
-        for i, arrival in enumerate(arrivals):
-            serve_one(i, float(arrival))
-    else:
-        ready = [(0.0, c) for c in range(traffic.concurrency)]
-        heapq.heapify(ready)
-        for i in range(traffic.n_requests):
-            arrival, client = heapq.heappop(ready)
-            completion = serve_one(i, arrival)
-            heapq.heappush(ready, (completion, client))
-    return latencies, statuses, last_completion
+    return simulate_fifo(traffic, request, n_workers=n_workers, dispatch_s=dispatch_s)
 
 
 def measure_service_time(

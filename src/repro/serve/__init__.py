@@ -10,8 +10,8 @@ Public surface:
   in, micro-batched predictions out (usable without HTTP, e.g. by the
   serving benchmark).
 * :class:`~repro.serve.http.ModelServer` — ThreadingHTTPServer front-end
-  with ``POST /v1/predict`` (versioned envelope), ``POST /predict``
-  (deprecated alias), ``GET /healthz`` / ``/readyz`` / ``/metrics``.
+  with ``POST /v1/predict`` (versioned envelope) and ``GET /healthz`` /
+  ``/readyz`` / ``/metrics``.
 * :class:`~repro.serve.pool.ServePool` — pre-fork multi-worker pool
   sharing one ``SO_REUSEPORT`` address and (with ``mmap``) one set of
   physical artifact pages; aggregates metrics and readiness across
@@ -20,7 +20,7 @@ Public surface:
   :class:`~repro.serve.batcher.QueueFullError` — the batching scheduler
   and its admission-control signal.
 * ``repro-serve`` CLI (:mod:`repro.serve.cli`) — serve a
-  :mod:`repro.persist` artifact directory (``--workers/--shards/--mmap``
+  :mod:`repro.persist` artifact directory (``--workers/--mmap``
   select the pool; ``--watch-artifact`` / ``--candidate-artifact`` wire
   in the live lifecycle).
 

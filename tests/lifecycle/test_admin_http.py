@@ -20,7 +20,7 @@ from repro.core.classifier import PrototypeClassifier
 from repro.core.records import RecordEncoder
 from repro.lifecycle import training_centroid
 from repro.ml.pipeline import HDCFeaturePipeline
-from repro.persist import artifact_sha, save_artifact
+from repro.persist import MANIFEST_NAME, artifact_sha, save_artifact
 from repro.serve import ModelServer, ServeConfig
 
 DIM = 512
@@ -123,6 +123,24 @@ def test_failed_reload_is_400_and_keeps_the_old_primary(
     assert status == 400
     assert body["error"]["code"] == "reload_failed"
     # Traffic is untouched: the previous primary still serves.
+    assert _predict_sha(server, pima_r) == artifact_sha(artifact_a)
+
+
+def test_reload_of_stale_params_is_400_and_keeps_the_old_primary(
+    server, artifact_a, pima_r, tmp_path
+):
+    # An artifact whose classifier params name a constructor argument
+    # this build no longer takes (an older build's ``shards``).
+    stale = _build_artifact(pima_r, tmp_path / "stale", seed=13)
+    manifest_path = stale / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    estimator = manifest["state"]["state"]["items"]["estimator"]
+    estimator["state"]["items"]["params"]["items"]["shards"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    status, body = _post(server.url + "/v1/admin/reload", {"artifact": str(stale)})
+    assert status == 400
+    assert body["error"]["code"] == "reload_failed"
+    assert "shards" in body["error"]["message"]
     assert _predict_sha(server, pima_r) == artifact_sha(artifact_a)
 
 

@@ -21,6 +21,7 @@ from repro.persist import (
     ArtifactError,
     ArtifactIntegrityError,
     ArtifactSchemaError,
+    StateError,
     artifact_info,
     load_artifact,
     save_artifact,
@@ -163,6 +164,19 @@ def test_future_schema_version_rejected(tmp_path, fitted_encoder):
     manifest["schema_version"] = SCHEMA_VERSION + 1
     manifest_path.write_text(json.dumps(manifest))
     with pytest.raises(ArtifactSchemaError, match="not.*supported"):
+        load_artifact(path)
+
+
+def test_unknown_constructor_param_is_a_state_error(tmp_path, fitted_encoder, pima_r):
+    # A classifier saved by a build whose constructor still took a
+    # parameter this build dropped must fail as an artifact error.
+    packed = fitted_encoder.transform(pima_r.X)
+    path = save_artifact(HammingClassifier(dim=DIM).fit(packed, pima_r.y), tmp_path / "clf")
+    manifest_path = path / MANIFEST_NAME
+    manifest = json.loads(manifest_path.read_text())
+    manifest["state"]["state"]["items"]["params"]["items"]["shards"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+    with pytest.raises(StateError, match=r"HammingClassifier.*shards"):
         load_artifact(path)
 
 

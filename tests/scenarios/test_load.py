@@ -170,6 +170,45 @@ def test_error_statuses_are_counted_and_judged():
     assert any("error rate" in v for v in report.slo_violations)
 
 
+@pytest.mark.parametrize("mode", ["open", "closed"])
+def test_inline_engine_is_the_pool_simulator_at_one_worker(mode, monkeypatch):
+    import repro.scenarios.load as load_module
+    from repro.scenarios.sweep import simulate_pool
+
+    traffic = _traffic(mode=mode, n_requests=300, rate_rps=400.0)
+
+    def service(i):
+        return 0.001 * (1 + i % 3)
+
+    def status(i):
+        return 503 if i % 7 == 0 else 200
+
+    fake = FakeTransport(service_s=service, status_fn=status)
+    sent = []
+
+    class CountingTransport:
+        def send(self, rows):
+            sent.append(rows)
+            return fake.send(rows)
+
+    seen = {}
+    real_summarize = load_module.summarize
+
+    def spy(traffic, slo, latencies, statuses, duration):
+        seen.update(latencies=list(latencies), statuses=list(statuses), duration=duration)
+        return real_summarize(traffic, slo, latencies, statuses, duration)
+
+    monkeypatch.setattr(load_module, "summarize", spy)
+    clock = FakeClock()
+    run_load(traffic, CountingTransport(), clock=clock, workers="inline")
+    latencies, statuses, duration = simulate_pool(
+        traffic, n_workers=1, service_s=service, dispatch_s=0.0, status_fn=status
+    )
+    assert len(sent) == traffic.n_requests
+    assert seen == {"latencies": latencies, "statuses": statuses, "duration": duration}
+    assert clock.now() == duration
+
+
 def test_run_load_rejects_unknown_engine():
     with pytest.raises(ScenarioError, match="workers"):
         run_load(_traffic(), FakeTransport(), workers="bogus")

@@ -171,7 +171,7 @@ def test_pool_dead_worker_degrades_readyz_everywhere(
     a probe to a perfectly healthy worker.  Readiness is therefore
     aggregated (supervisor roster + sibling liveness probes), so the
     surviving worker *also* reports 503 — a load balancer sees the
-    degraded pool no matter which worker answers — while ``/predict``
+    degraded pool no matter which worker answers — while ``/v1/predict``
     keeps serving from the survivors.
 
     Restart supervision would replace the victim within one backoff
