@@ -1,7 +1,7 @@
 """K2 — fused record encoding vs the per-row reference path.
 
 The fused pipeline (precomputed level tables, quantise-and-gather batch
-encoding, counts-based bundling) must beat the per-row, per-value
+encoding, packed bit-plane bundling) must beat the per-row, per-value
 reference construction by a wide margin at paper scale: a 10,000-row
 synthetic mixed-feature matrix encoded into 10,000-bit hypervectors.
 

@@ -34,10 +34,8 @@ from repro.core.encoding import (
     LevelEncoder,
 )
 from repro.core.bundling import (
-    majority_from_counts,
     majority_vote,
     majority_vote_batch,
-    majority_vote_counts,
     weighted_majority,
 )
 from repro.core.records import FeatureSpec, RecordEncoder, infer_feature_specs
@@ -179,10 +177,8 @@ __all__ = [
     "CategoricalEncoder",
     "EncoderNotFittedError",
     "LevelEncoder",
-    "majority_from_counts",
     "majority_vote",
     "majority_vote_batch",
-    "majority_vote_counts",
     "weighted_majority",
     "FeatureSpec",
     "RecordEncoder",

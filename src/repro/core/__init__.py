@@ -43,8 +43,6 @@ from repro.core.encoding import (
 from repro.core.bundling import (
     majority_vote,
     majority_vote_batch,
-    majority_vote_counts,
-    majority_from_counts,
     weighted_majority,
 )
 from repro.core.records import FeatureSpec, RecordEncoder, infer_feature_specs
@@ -91,8 +89,6 @@ __all__ = [
     "EncoderNotFittedError",
     "majority_vote",
     "majority_vote_batch",
-    "majority_vote_counts",
-    "majority_from_counts",
     "weighted_majority",
     "FeatureSpec",
     "RecordEncoder",

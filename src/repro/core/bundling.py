@@ -6,26 +6,25 @@ vectors, with ties (even feature counts) resolved to 1 by default, exactly
 the paper's rule.  Alternative tie rules (0, random) are exposed for the
 A2 ablation.
 
-Implementation: the fused pipeline splits bundling into two primitives —
-:func:`majority_vote_counts`, which accumulates per-bit vote counts
-*column by column across features* (one feature's packed batch is unpacked
-at a time, so an ``(n, m)`` batch never materialises the full
-``(n, m, dim)`` dense tensor), and :func:`majority_from_counts`, which
-thresholds a counts matrix into packed majority bits under the paper's tie
-rule.  :func:`majority_vote_batch` composes the two; the record encoder's
-chunked fast path calls them directly so vote counts can be built
-incrementally from gathered level-table rows.
+Implementation: :func:`majority_vote_batch`, the record encoder's hot
+path, stays on packed ``uint64`` words end to end.  It folds the ``m``
+feature slices into ``ceil(log2(m + 1))`` carry-save bit-planes (plane
+``b`` holds bit ``b`` of every per-bit vote count) and compares the planes
+MSB-first against the threshold, so a batch never materialises an
+``(n, dim)`` count matrix — the bit-serial counting of uHD (PAPERS.md),
+done in software with one word-wide bitwise op per 64 counters.
+:func:`majority_dense` is the plain integer-sum definition the packed
+path is tested against.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.hypervector import pack_bits, unpack_bits
-from repro.kernels import get_backend
-from repro.obs import span
+from repro.core.hypervector import n_words, pack_bits, unpack_bits
+from repro.utils.contracts import checks_packed
 from repro.utils.rng import SeedLike, as_generator
 from repro.utils.validation import check_positive_int
 
@@ -98,86 +97,82 @@ def majority_vote(
     return pack_bits(voted[None, :], dim)[0]
 
 
-def vote_count_dtype(m: int) -> np.dtype:
-    """Smallest signed accumulator dtype that can hold counts up to ``m``."""
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    return np.dtype(np.int16) if m <= np.iinfo(np.int16).max else np.dtype(np.int64)
+def _count_planes(packed_stack: np.ndarray) -> List[np.ndarray]:
+    """Per-bit vote counts of ``(n, m, words)`` as carry-save bit-planes.
 
-
-def majority_vote_counts(
-    packed_stack: np.ndarray,
-    dim: int,
-    *,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Per-bit vote counts of a packed batch: ``(n, m, words) -> (n, dim)``.
-
-    Accumulates column by column across the feature axis — each feature's
-    ``(n, words)`` slice is unpacked and added on its own, so peak memory
-    is ``O(n * dim)`` regardless of ``m`` (the naive dense route needs
-    ``O(n * m * dim)``).  Pass ``out`` (an integer ``(n, dim)`` array,
-    zero-filled by the caller or reused across calls) to accumulate into
-    existing counts; otherwise a fresh accumulator is allocated with
-    :func:`vote_count_dtype`.
+    Plane ``b`` holds bit ``b`` of every count, packed like the input, so
+    ``m`` voters need ``ceil(log2(m + 1))`` planes of shape ``(n, words)``.
+    Adding feature ``j`` ripples a carry through the planes (a vertical
+    ripple-carry adder on whole words); a new plane starts when ``j + 1``
+    reaches a power of two, the only time the final carry can be nonzero.
     """
-    packed_stack = np.asarray(packed_stack, dtype=np.uint64)
-    if packed_stack.ndim != 3:
-        raise ValueError(
-            f"packed_stack must be (n, m, words), got shape {packed_stack.shape}"
-        )
-    check_positive_int(dim, "dim")
-    n, m, _ = packed_stack.shape
-    if out is None:
-        out = np.zeros((n, dim), dtype=vote_count_dtype(m))
-    elif out.shape != (n, dim):
-        raise ValueError(f"out shape {out.shape} != ({n}, {dim})")
-    elif not np.issubdtype(out.dtype, np.integer):
-        raise ValueError(f"out must be an integer accumulator, got {out.dtype}")
-    backend = get_backend()
-    with span("bundle.vote_counts", rows=n, features=m, dim=dim, kernel=backend.name):
-        backend.majority_vote_counts(packed_stack, dim, out)
+    planes: List[np.ndarray] = []
+    for j in range(packed_stack.shape[1]):
+        carry = packed_stack[:, j, :].copy()
+        for plane in planes:
+            plane ^= carry
+            carry &= ~plane  # the old plane bit, where carry was set
+        if (j + 1) & j == 0:
+            planes.append(carry)
+    return planes
+
+
+def _count_at_least(planes: List[np.ndarray], c: int) -> np.ndarray:
+    """Packed mask of bits whose plane-encoded count is ``>= c`` (``c >= 1``).
+
+    Walks the planes MSB-first against the constant ``c``: ``gt`` marks
+    counts already known greater, ``eq`` counts equal on every plane so far.
+    """
+    gt = np.zeros_like(planes[0])
+    eq = np.full_like(planes[0], np.uint64(0xFFFFFFFFFFFFFFFF))
+    for b in range(len(planes) - 1, -1, -1):
+        if (c >> b) & 1:
+            eq &= planes[b]
+        else:
+            gt |= eq & planes[b]
+            eq &= ~planes[b]
+    return gt | eq
+
+
+def _majority_and_ties(
+    packed_stack: np.ndarray, tie: str
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The packed majority of a validated stack, before any random tie draw.
+
+    Returns ``(out, tied)``.  ``tied`` is ``None`` unless ``tie ==
+    "random"`` and the feature count is even; then ``out`` has every tied
+    bit at 0 and ``tied`` is the packed mask of those bits, for
+    :func:`_break_ties`.  Split out so the record encoder can bundle row
+    chunks in parallel and still draw the ties in one global pass.
+    """
+    m = packed_stack.shape[1]
+    planes = _count_planes(packed_stack)
+    half = m // 2
+    # Odd m has no ties; even m with ties -> 1 sets every count >= m/2.
+    # Padding bits hold count 0, so every threshold (>= 1) leaves them 0.
+    out = _count_at_least(planes, half if tie == "one" and m % 2 == 0 else half + 1)
+    tied = None
+    if tie == "random" and m % 2 == 0:
+        tied = _count_at_least(planes, half) & ~out
+    return out, tied
+
+
+def _break_ties(
+    out: np.ndarray, tied: np.ndarray, dim: int, seed: SeedLike
+) -> np.ndarray:
+    """Set each tied bit of ``out`` to a fair coin flip, in place.
+
+    One ``integers(0, 2)`` draw per tied bit, in row-major bit order —
+    the same draws :func:`majority_dense` makes for one vector.
+    """
+    bits = unpack_bits(tied, dim).astype(bool)
+    draws = as_generator(seed).integers(0, 2, size=int(bits.sum()), dtype=np.uint8)
+    bits[bits] = draws.astype(bool)
+    out |= pack_bits(bits, dim)
     return out
 
 
-def majority_from_counts(
-    counts: np.ndarray,
-    m: int,
-    dim: int,
-    *,
-    tie: str = "one",
-    seed: SeedLike = None,
-) -> np.ndarray:
-    """Threshold per-bit vote counts into packed majority bits.
-
-    ``counts`` is an ``(n, dim)`` integer matrix of ones-votes out of ``m``
-    voters; the result is the packed ``(n, words)`` majority bundle under
-    the given tie rule.  Exactly the decision step of
-    :func:`majority_vote_batch`, split out so the fused record encoder can
-    build counts incrementally.
-    """
-    counts = np.asarray(counts)
-    if counts.ndim != 2 or counts.shape[1] != dim:
-        raise ValueError(f"counts must be (n, {dim}), got shape {counts.shape}")
-    if m < 1:
-        raise ValueError("cannot take a majority over zero vectors")
-    if tie not in _TIE_RULES:
-        raise ValueError(f"tie must be one of {_TIE_RULES}, got {tie!r}")
-    # 2*c > m  <=>  c > m // 2 for integer counts: threshold in the native
-    # accumulator dtype so no doubled int64 copy is ever materialised.
-    half = m // 2
-    out = counts > half
-    if m % 2 == 0:
-        tied = counts == half
-        if tie == "one":
-            out |= tied
-        elif tie == "random":
-            rng = as_generator(seed)
-            out[tied] = rng.integers(0, 2, size=int(tied.sum()), dtype=np.uint8)
-        # tie == "zero": already 0
-    return pack_bits(out, dim)
-
-
+@checks_packed("packed_stack", dim_param="dim")
 def majority_vote_batch(
     packed_stack: np.ndarray,
     dim: int,
@@ -187,10 +182,10 @@ def majority_vote_batch(
 ) -> np.ndarray:
     """Majority-bundle a batch: ``(n, m, words) -> (n, words)``.
 
-    This is the hot path of record encoding (n patients x m features);
-    vote counts are accumulated feature-by-feature with
-    :func:`majority_vote_counts` and thresholded by
-    :func:`majority_from_counts`.
+    This is the hot path of record encoding (n patients x m features).  It
+    never leaves the packed domain: votes are counted in carry-save
+    bit-planes and compared against the threshold word by word.  Only the
+    random tie rule unpacks, and only its tie mask.
     """
     check_positive_int(dim, "dim")
     packed_stack = np.asarray(packed_stack, dtype=np.uint64)
@@ -198,11 +193,17 @@ def majority_vote_batch(
         raise ValueError(
             f"packed_stack must be (n, m, words), got shape {packed_stack.shape}"
         )
-    _, m, _ = packed_stack.shape
-    if m == 0:
+    if packed_stack.shape[1] == 0:
         raise ValueError("cannot take a majority over zero vectors")
-    counts = majority_vote_counts(packed_stack, dim)
-    return majority_from_counts(counts, m, dim, tie=tie, seed=seed)
+    if tie not in _TIE_RULES:
+        raise ValueError(f"tie must be one of {_TIE_RULES}, got {tie!r}")
+    if packed_stack.shape[2] != n_words(dim):
+        raise ValueError(
+            f"packed_stack has {packed_stack.shape[2]} words per vector, "
+            f"dim={dim} needs {n_words(dim)}"
+        )
+    out, tied = _majority_and_ties(packed_stack, tie)
+    return out if tied is None else _break_ties(out, tied, dim, seed)
 
 
 def weighted_majority(

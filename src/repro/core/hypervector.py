@@ -90,34 +90,6 @@ def unpack_bits(packed: np.ndarray, dim: int) -> np.ndarray:
     return np.unpackbits(bytes_view, axis=-1, bitorder="little", count=dim)
 
 
-@checks_packed("packed", dim_param="dim")
-def add_bits_into(packed: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
-    """Add the unpacked 0/1 bits of ``packed`` into accumulator ``out`` in place.
-
-    ``packed`` has shape ``(..., words)``; ``out`` must be an integer array
-    of shape ``(..., dim)``.  This is the building block of counts-based
-    bundling: one feature's hypervectors are unpacked at a time, so a batch
-    of ``m`` features never materialises an ``(n, m, dim)`` dense tensor.
-    The accumulation dispatches through :mod:`repro.kernels`
-    (``REPRO_KERNEL``); the compiled backend scatters bits in C instead of
-    materialising the unpacked ``(..., dim)`` temporary.
-    """
-    packed = np.asarray(packed, dtype=np.uint64)
-    if out.shape != packed.shape[:-1] + (dim,):
-        raise ValueError(
-            f"out shape {out.shape} must be {packed.shape[:-1] + (dim,)}"
-        )
-    if not np.issubdtype(out.dtype, np.integer):
-        raise ValueError(f"out must be an integer accumulator, got {out.dtype}")
-    if packed.shape[-1] != n_words(dim):
-        raise ValueError(
-            f"packed last axis {packed.shape[-1]} != n_words({dim}) = {n_words(dim)}"
-        )
-    from repro.kernels import get_backend  # late: keeps module import light
-
-    return get_backend().add_bits_into(packed, dim, out)
-
-
 def random_packed(
     shape: Union[int, Sequence[int]],
     dim: int,

@@ -69,11 +69,11 @@ class OnlineHDClassifier(BaseEstimator, ClassifierMixin):
         y = column_or_1d(y)
         if packed.shape[0] != y.shape[0]:
             raise ValueError(f"X has {packed.shape[0]} rows but y has {y.shape[0]}")
-        dense = unpack_bits(packed, self.dim).astype(np.int64)
+        dense = unpack_bits(packed, self.dim)
         for i, cls in enumerate(self.classes_):
             members = y == cls
             if members.any():
-                self._counts[i] += dense[members].sum(axis=0)
+                self._counts[i] += dense[members].sum(axis=0, dtype=np.int64)
                 self._n[i] += int(members.sum())
         unseen = set(np.unique(y).tolist()) - set(self.classes_.tolist())
         if unseen:
@@ -125,7 +125,7 @@ class OnlineHDClassifier(BaseEstimator, ClassifierMixin):
         y = column_or_1d(y)
         if packed.shape[0] != y.shape[0]:
             raise ValueError("X/y length mismatch")
-        dense = unpack_bits(packed, self.dim).astype(np.int64)
+        dense = unpack_bits(packed, self.dim)
         class_index = {cls: i for i, cls in enumerate(self.classes_)}
         self.retrain_errors_: list[int] = []
         for _ in range(epochs):

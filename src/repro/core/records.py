@@ -14,19 +14,19 @@ any matrix into a packed ``(n, words)`` batch — or, via
 
 Fused fast path
 ---------------
-``transform`` streams rows through a fused encode→bundle pipeline: each
-column's values are quantised to rows of that column's precomputed packed
-level/codebook table (one advanced-indexing gather, no per-value bit
-flipping), the gathered rows are unpacked one *feature at a time* into a
-per-bit vote-count accumulator (:func:`repro.core.bundling.majority_vote_counts`
-semantics, so the ``(n, m, dim)`` dense tensor is never materialised), and
-the counts are thresholded into packed majority bits.  Row chunks are
-dispatched through :func:`repro.parallel.parallel_map`, governed by the
-``n_jobs`` / ``chunk_rows`` knobs.
+``transform`` streams row chunks through a fused encode→bundle pipeline
+that never leaves the packed domain: each column's values are quantised to
+rows of that column's precomputed packed level/codebook table (one
+advanced-indexing gather, no per-value bit flipping), and the gathered
+``(rows, m, words)`` stack is majority-bundled on ``uint64`` words with
+carry-save bit-plane counters (:func:`repro.core.bundling.majority_vote_batch`).
+Row chunks are dispatched through :func:`repro.parallel.parallel_map`,
+governed by the ``n_jobs`` / ``chunk_rows`` constructor arguments.
 
 ``transform_reference`` keeps the original per-row, per-value construction
-(schedule-prefix bit flips, full feature stack, batch majority vote) so the
-two implementations can be diffed bit-for-bit; the differential suite in
+(schedule-prefix bit flips, full feature stack) and bundles by a dense
+integer sum, so the two implementations share no bundling code and can be
+diffed bit-for-bit; the differential suite in
 ``tests/core/test_fused_encoding.py`` does exactly that.
 """
 
@@ -38,25 +38,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.bundling import (
-    majority_from_counts,
-    majority_vote_batch,
-    vote_count_dtype,
-)
+from repro.core.bundling import _break_ties, _majority_and_ties
 from repro.core.encoding import BaseEncoder, BinaryEncoder, CategoricalEncoder, LevelEncoder
-from repro.core.hypervector import add_bits_into, n_words, unpack_bits
+from repro.core.hypervector import n_words, pack_bits, unpack_bits
 # Aliased because `span` is the local name for (start, stop) row ranges
 # throughout this module.
 from repro.obs import span as span_ctx
 from repro.parallel import chunk_spans, parallel_map
-from repro.utils.rng import SeedLike, derive_seed
+from repro.utils.rng import SeedLike, as_generator, derive_seed
 from repro.utils.validation import check_array, check_positive_int
 
 FEATURE_KINDS = ("linear", "binary", "categorical")
-
-# Distinguishes "argument not passed" from an explicit n_jobs=None (which
-# means: resolve from the environment / cpu count).
-_UNSET = object()
 
 
 @dataclass(frozen=True)
@@ -133,15 +125,15 @@ class RecordEncoder:
         seeded encoders the two are statistically equivalent; binding IDs
         matters when feature encoders *share* item memories.
     n_jobs:
-        Default worker count for chunk dispatch in :meth:`transform`
-        (``1`` = serial; ``None``/``0`` defers to the ``REPRO_WORKERS``
-        environment variable, negative counts are sklearn-style).  The
-        chunks are NumPy-bound and release the GIL, so the thread backend
-        scales without pickling.
+        Worker count for chunk dispatch in :meth:`transform` (``1`` =
+        serial; ``None``/``0`` defers to the ``REPRO_WORKERS`` environment
+        variable, negative counts are sklearn-style).  The chunks are
+        NumPy-bound and release the GIL, so the thread backend scales
+        without pickling.
     chunk_rows:
         Rows per dispatched chunk.  Peak temporary memory per worker is
-        roughly ``chunk_rows * dim`` counts plus one gathered
-        ``chunk_rows x words`` block.
+        one gathered ``chunk_rows x n_features x words`` stack plus a few
+        ``chunk_rows x words`` bit-planes.
 
     Examples
     --------
@@ -245,84 +237,51 @@ class RecordEncoder:
             )
         return X
 
-    def _count_chunk(self, X: np.ndarray, span: Tuple[int, int]) -> np.ndarray:
-        """Per-bit vote counts for one row chunk, ``(stop-start, dim)``.
-
-        The fused inner loop: quantise → gather codebook rows → accumulate
-        unpacked bits, one feature at a time.
-        """
+    def _vote_chunk(
+        self, X: np.ndarray, span: Tuple[int, int]
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Packed majority (and random-tie mask) for one row chunk."""
         start, stop = span
         with span_ctx("encode.count_chunk", rows=stop - start):
-            counts = np.zeros(
-                (stop - start, self.dim), dtype=vote_count_dtype(len(self.encoders_))
-            )
-            for j, enc in enumerate(self.encoders_):
-                rows = enc.codebook()[enc.quantize(X[start:stop, j])]
-                if self.bind_ids:
-                    rows ^= self.id_vectors_[j]
-                add_bits_into(rows, self.dim, counts)
-            return counts
+            feats = self.encode_features(X[start:stop])
+            return _majority_and_ties(feats, self.tie)
 
-    def _bundle_chunk(self, X: np.ndarray, span: Tuple[int, int]) -> np.ndarray:
-        """Packed majority bundle for one row chunk (tie rules without RNG)."""
-        counts = self._count_chunk(X, span)
-        return majority_from_counts(
-            counts, len(self.encoders_), self.dim, tie=self.tie
-        )
-
-    def transform(
-        self,
-        X: np.ndarray,
-        *,
-        n_jobs: Optional[int] = _UNSET,  # type: ignore[assignment]
-        chunk_rows: Optional[int] = None,
-    ) -> np.ndarray:
+    def transform(self, X: np.ndarray) -> np.ndarray:
         """Bundled record hypervectors, packed ``(n, words)``.
 
-        Runs the fused encode→bundle fast path in row chunks; ``n_jobs``
-        and ``chunk_rows`` override the constructor defaults for this call.
-        Output is bit-identical to :meth:`transform_reference` regardless
-        of chunking or worker count.
+        Encodes and bundles row chunks of ``chunk_rows`` on ``n_jobs``
+        workers.  Output is bit-identical to :meth:`transform_reference`
+        regardless of chunking or worker count.
         """
-        from repro.kernels import active_backend
-
         X = self._check_transform_input(X)
-        n_jobs = self.n_jobs if n_jobs is _UNSET else n_jobs
-        chunk = chunk_rows if chunk_rows is not None else self.chunk_rows
         with span_ctx(
             "encode.transform",
             rows=X.shape[0],
             features=len(self.encoders_),
             dim=self.dim,
-            chunk_rows=chunk,
-            kernel=active_backend(),
+            chunk_rows=self.chunk_rows,
         ):
-            spans = chunk_spans(X.shape[0], chunk)
-            if not spans:
-                return np.zeros((0, n_words(self.dim)), dtype=np.uint64)
-            if self.tie == "random":
-                # The random tie rule consumes one RNG stream over the whole
-                # batch (row-major), so counts are assembled first and the tie
-                # is broken globally — keeping the output independent of
-                # chunking and identical to the reference path.
-                blocks = parallel_map(
-                    partial(self._count_chunk, X), spans, n_jobs=n_jobs
-                )
-                counts = np.concatenate(blocks, axis=0)
-                return majority_from_counts(
-                    counts, len(self.encoders_), self.dim, tie=self.tie, seed=self.seed
-                )
-            blocks = parallel_map(partial(self._bundle_chunk, X), spans, n_jobs=n_jobs)
-            return np.concatenate(blocks, axis=0)
+            blocks = parallel_map(
+                partial(self._vote_chunk, X),
+                chunk_spans(X.shape[0], self.chunk_rows),
+                n_jobs=self.n_jobs,
+            )
+            out = np.concatenate([maj for maj, _ in blocks], axis=0)
+            if blocks[0][1] is None:
+                return out
+            # The random tie rule draws one RNG stream over the whole batch
+            # (row-major), so the output does not depend on the chunking.
+            tied = np.concatenate([ties for _, ties in blocks], axis=0)
+            return _break_ties(out, tied, self.dim, self.seed)
 
     def transform_reference(self, X: np.ndarray) -> np.ndarray:
-        """The pre-fusion per-row path, kept as a bit-exact oracle.
+        """The per-row, per-value path, kept as a bit-exact oracle.
 
         Encodes every value from scratch (per-value schedule-prefix bit
-        flips, no cached tables), stacks the full ``(n, m, words)`` feature
-        tensor and majority-votes it in one batch — exactly the original
-        implementation.  Slow by design; used by the differential tests
-        and benchmarks.
+        flips, no cached tables), unpacks the full ``(n, m, dim)`` feature
+        tensor and thresholds its integer sum — the plain definition of
+        the majority, sharing no bundling code with :meth:`transform`.
+        Slow by design; used by the differential tests and benchmarks.
         """
         X = self._check_transform_input(X)
         n, m = X.shape[0], len(self.encoders_)
@@ -332,7 +291,15 @@ class RecordEncoder:
                 feats[i, j] = enc.encode(X[i, j])
         if self.bind_ids:
             feats ^= self.id_vectors_[None, :, :]
-        return majority_vote_batch(feats, self.dim, tie=self.tie, seed=self.seed)
+        counts = unpack_bits(feats, self.dim).sum(axis=1, dtype=np.int64)
+        out = 2 * counts > m
+        tied = 2 * counts == m
+        if self.tie == "one":
+            out |= tied
+        elif self.tie == "random":
+            rng = as_generator(self.seed)
+            out[tied] = rng.integers(0, 2, size=int(tied.sum()), dtype=np.uint8)
+        return pack_bits(out, self.dim)
 
     def fit_transform(self, X: np.ndarray) -> np.ndarray:
         return self.fit(X).transform(X)

@@ -1,15 +1,17 @@
 """Pluggable kernel backends for the Hamming/popcount hot core.
 
-Every hot path in the reproduction — fused record encoding, the tiled
-top-k search engine, LOO cross-validation, the serving stack's fused
-predict — funnels through five primitive kernels (the *registry
-contract*, canonically spelled out in :mod:`repro.kernels.signatures`):
+Every Hamming hot path in the reproduction — the tiled top-k search
+engine, LOO cross-validation, the serving stack's fused predict —
+funnels through three primitive kernels (the *registry contract*,
+canonically spelled out in :mod:`repro.kernels.signatures`):
 
 * ``hamming_block``          — dense ``(m, n)`` Hamming block
 * ``topk_hamming_tile``      — one query tile vs. the whole store
 * ``loo_topk_hamming_tile``  — one row span vs. all other rows
-* ``add_bits_into``          — unpack-and-accumulate bit counts
-* ``majority_vote_counts``   — per-bit vote counts of a packed stack
+
+Record encoding is not a registry kernel: its packed bit-plane majority
+(:func:`repro.core.bundling.majority_vote_batch`) is plain numpy and beat
+the compiled per-bit counters it replaced at every measured shape.
 
 This package makes those kernels *pluggable*: a pure-``numpy`` baseline
 (the previous in-tree implementations, extracted verbatim) and an

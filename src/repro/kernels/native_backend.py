@@ -30,7 +30,6 @@ import numpy as np
 
 from repro.kernels import native_build
 from repro.kernels.numpy_backend import _EMPTY
-from repro.kernels import numpy_backend as _numpy
 
 # Loader state: mod is the imported extension (or None), error the
 # human-readable reason it could not be used.
@@ -160,53 +159,3 @@ def _topk(
             mod.ffi.from_buffer("int64_t[]", best_i, require_writable=True),
         )
     return best_d, best_i
-
-
-def add_bits_into(packed: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
-    """Accumulate unpacked bits into ``out`` in place (int16/int64 fast paths)."""
-    if out.dtype == np.int16:
-        fn = "repro_add_bits_i16"
-        ctype = "int16_t[]"
-    elif out.dtype == np.int64:
-        fn = "repro_add_bits_i64"
-        ctype = "int64_t[]"
-    else:
-        # Exotic accumulator dtypes stay on the (dtype-generic) numpy path.
-        return _numpy.add_bits_into(packed, dim, out)
-    if not out.flags.c_contiguous:
-        return _numpy.add_bits_into(packed, dim, out)
-    mod = _mod()
-    packed = np.ascontiguousarray(packed, dtype=np.uint64)
-    words = packed.shape[-1]
-    rows = packed.size // words if words else 0
-    if rows and words:
-        getattr(mod.lib, fn)(
-            _u64(packed), rows, words, dim,
-            mod.ffi.from_buffer(ctype, out, require_writable=True),
-        )
-    return out
-
-
-def majority_vote_counts(
-    packed_stack: np.ndarray, dim: int, out: np.ndarray
-) -> np.ndarray:
-    """Per-bit vote counts of an ``(n, m, words)`` stack, accumulated in C."""
-    if out.dtype == np.int16:
-        fn = "repro_vote_counts_i16"
-        ctype = "int16_t[]"
-    elif out.dtype == np.int64:
-        fn = "repro_vote_counts_i64"
-        ctype = "int64_t[]"
-    else:
-        return _numpy.majority_vote_counts(packed_stack, dim, out)
-    if not out.flags.c_contiguous:
-        return _numpy.majority_vote_counts(packed_stack, dim, out)
-    mod = _mod()
-    packed_stack = np.ascontiguousarray(packed_stack, dtype=np.uint64)
-    n, m, words = packed_stack.shape
-    if n and m and words:
-        getattr(mod.lib, fn)(
-            _u64(packed_stack), n, m, words, dim,
-            mod.ffi.from_buffer(ctype, out, require_writable=True),
-        )
-    return out

@@ -15,7 +15,7 @@ is picked up by every later process without an install step.  This
 module stays importable with **stdlib only** — cffi is required to
 *build*, never to ask where the cache is or to fall back to numpy.
 
-Compile flags are tried in order (``-O3 -funroll-loops -fwrapv`` with
+Compile flags are tried in order (``-O3 -funroll-loops`` with
 ``-march=native``, then without, then bare) so exotic toolchains still
 produce a working extension.
 """
@@ -33,7 +33,7 @@ MODULE_NAME = "_repro_kernels_native"
 
 # Bumped whenever the C ABI below changes; the loader refuses mismatches
 # so a stale cached build can never produce silently-wrong results.
-KERNEL_ABI = 1
+KERNEL_ABI = 2
 
 CACHE_ENV = "REPRO_KERNEL_CACHE"
 
@@ -46,21 +46,13 @@ void repro_topk_tile(const uint64_t *Q, long nq,
                      const uint64_t *X, long nx,
                      long words, long k, long self_start,
                      int64_t *best_d, int64_t *best_i);
-void repro_add_bits_i16(const uint64_t *packed, long rows,
-                        long words, long dim, int16_t *out);
-void repro_add_bits_i64(const uint64_t *packed, long rows,
-                        long words, long dim, int64_t *out);
-void repro_vote_counts_i16(const uint64_t *stack, long rows, long m,
-                           long words, long dim, int16_t *out);
-void repro_vote_counts_i64(const uint64_t *stack, long rows, long m,
-                           long words, long dim, int64_t *out);
 """
 
 C_SOURCE = r"""
 #include <stdint.h>
 
 /* Bumped in lockstep with KERNEL_ABI in native_build.py. */
-int repro_kernel_abi(void) { return 1; }
+int repro_kernel_abi(void) { return 2; }
 
 static inline int64_t hamming_words(const uint64_t *a, const uint64_t *b,
                                     long words) {
@@ -122,57 +114,9 @@ void repro_topk_tile(const uint64_t *Q, long nq,
         }
     }
 }
-
-/* Unpack-and-accumulate: for each valid bit position, add 0/1 into the
- * integer accumulator.  The last word honours the tail-padding contract
- * by clamping at dim, so garbage padding bits can never leak into
- * counts. */
-#define REPRO_ADD_BITS(SUFFIX, TYPE)                                      \
-void repro_add_bits_##SUFFIX(const uint64_t *packed, long rows,           \
-                             long words, long dim, TYPE *out) {           \
-    for (long i = 0; i < rows; i++) {                                     \
-        const uint64_t *row = packed + i * words;                         \
-        TYPE *acc = out + i * dim;                                        \
-        for (long w = 0; w < words; w++) {                                \
-            uint64_t word = row[w];                                       \
-            long base = w * 64;                                           \
-            long lim = dim - base < 64 ? dim - base : 64;                 \
-            for (long b = 0; b < lim; b++)                                \
-                acc[base + b] += (TYPE)((word >> b) & 1u);                \
-        }                                                                 \
-    }                                                                     \
-}
-
-REPRO_ADD_BITS(i16, int16_t)
-REPRO_ADD_BITS(i64, int64_t)
-
-/* Unlike repro_add_bits_* (one accumulator row per packed row), all m
- * feature rows of a record accumulate into the SAME dim-wide row. */
-#define REPRO_VOTE_COUNTS(SUFFIX, TYPE)                                   \
-void repro_vote_counts_##SUFFIX(const uint64_t *stack, long rows, long m, \
-                                long words, long dim, TYPE *out) {        \
-    for (long i = 0; i < rows; i++) {                                     \
-        const uint64_t *rec = stack + i * m * words;                      \
-        TYPE *acc = out + i * dim;                                        \
-        for (long j = 0; j < m; j++) {                                    \
-            const uint64_t *row = rec + j * words;                        \
-            for (long w = 0; w < words; w++) {                            \
-                uint64_t word = row[w];                                   \
-                long base = w * 64;                                       \
-                long lim = dim - base < 64 ? dim - base : 64;             \
-                for (long b = 0; b < lim; b++)                            \
-                    acc[base + b] += (TYPE)((word >> b) & 1u);            \
-            }                                                             \
-        }                                                                 \
-    }                                                                     \
-}
-
-REPRO_VOTE_COUNTS(i16, int16_t)
-REPRO_VOTE_COUNTS(i64, int64_t)
 """
 
-# -fwrapv: accumulator adds rely on two's-complement wrap matching numpy.
-BASE_FLAGS = ["-O3", "-funroll-loops", "-fwrapv"]
+BASE_FLAGS = ["-O3", "-funroll-loops"]
 
 
 def default_cache_dir() -> Path:

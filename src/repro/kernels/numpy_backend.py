@@ -2,8 +2,7 @@
 
 These are the previous in-tree implementations of the registry kernels
 (see :mod:`repro.kernels.signatures` for the contract), extracted from
-``repro.core.distance`` / ``repro.core.search`` /
-``repro.core.hypervector`` so they can be swapped against the compiled
+``repro.core.distance`` / ``repro.core.search`` so they can be swapped against the compiled
 ``native`` backend.  The module is deliberately self-contained: numpy
 plus :func:`repro.parallel.chunking.chunk_spans` only, and **no imports
 from repro.core** — core dispatches *into* this package, never the
@@ -188,33 +187,3 @@ def loo_topk_hamming_tile(
             block[rows, rows + (start - c0)] = sentinel
         best_d, best_i = merge_topk(best_d, best_i, block, c0)
     return best_d, best_i
-
-
-def add_bits_into(packed: np.ndarray, dim: int, out: np.ndarray) -> np.ndarray:
-    """Add the unpacked 0/1 bits of ``packed`` into accumulator ``out`` in place.
-
-    Self-contained little-endian unpack (the same layout as
-    :func:`repro.core.hypervector.unpack_bits`) followed by one
-    ``np.add``; ``casting="unsafe"`` keeps narrow accumulators (int16)
-    without a widened copy.
-    """
-    packed = np.asarray(packed, dtype=np.uint64)
-    bytes_view = np.ascontiguousarray(packed).view(np.uint8)
-    bits = np.unpackbits(bytes_view, axis=-1, bitorder="little", count=dim)
-    np.add(out, bits, out=out, casting="unsafe")
-    return out
-
-
-def majority_vote_counts(
-    packed_stack: np.ndarray, dim: int, out: np.ndarray
-) -> np.ndarray:
-    """Accumulate per-bit vote counts ``(n, m, words) -> out (n, dim)`` in place.
-
-    Column by column across the feature axis: each feature's ``(n,
-    words)`` slice is unpacked and added on its own, so peak memory is
-    ``O(n * dim)`` regardless of ``m``.
-    """
-    m = packed_stack.shape[1]
-    for j in range(m):
-        add_bits_into(packed_stack[:, j, :], dim, out)
-    return out

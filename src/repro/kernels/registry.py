@@ -52,8 +52,6 @@ class KernelBackend:
     hamming_block: Callable
     topk_hamming_tile: Callable
     loo_topk_hamming_tile: Callable
-    add_bits_into: Callable
-    majority_vote_counts: Callable
 
 
 def _make_numpy() -> KernelBackend:
@@ -65,8 +63,6 @@ def _make_numpy() -> KernelBackend:
         hamming_block=m.hamming_block,
         topk_hamming_tile=m.topk_hamming_tile,
         loo_topk_hamming_tile=m.loo_topk_hamming_tile,
-        add_bits_into=m.add_bits_into,
-        majority_vote_counts=m.majority_vote_counts,
     )
 
 
@@ -84,8 +80,6 @@ def _make_native() -> KernelBackend:
         hamming_block=m.hamming_block,
         topk_hamming_tile=m.topk_hamming_tile,
         loo_topk_hamming_tile=m.loo_topk_hamming_tile,
-        add_bits_into=m.add_bits_into,
-        majority_vote_counts=m.majority_vote_counts,
     )
 
 

@@ -11,12 +11,11 @@ registry binds real implementations from the backend modules.
 Contract notes shared by every backend
 --------------------------------------
 * Inputs arrive **validated**: C-contiguous ``uint64`` packed arrays
-  with matching word counts, ``k`` already clamped to the candidate
-  count, accumulators integer-typed with the right shape.  Validation,
+  with matching word counts and ``k`` already clamped to the candidate
+  count.  Validation,
   runtime contracts, and obs spans live in the :mod:`repro.core`
   dispatchers, not in backends.
-* All distance outputs are int64; accumulators keep the caller's dtype.
-  No float intermediates anywhere (hdlint HD002 checks backends too).
+* All distance outputs are int64.  No float intermediates anywhere (hdlint HD002 checks backends too).
 * Tie-break: top-k rows are sorted ascending by ``(distance, index)``
   with ties to the lowest candidate index — exactly stable-argsort
   order.  Unfilled slots hold ``(int64 max, -1)``.
@@ -32,8 +31,6 @@ KERNEL_NAMES = (
     "hamming_block",
     "topk_hamming_tile",
     "loo_topk_hamming_tile",
-    "add_bits_into",
-    "majority_vote_counts",
 )
 
 
@@ -57,14 +54,4 @@ def loo_topk_hamming_tile(X, start, stop, k, *, tile_cols=1024, word_chunk=32):
     Returns ``(best_d, best_i)`` int64 ``(stop - start, k)`` arrays with
     the self-match excluded; requires ``k <= len(X) - 1``.
     """
-    raise NotImplementedError("canonical signature stub — use repro.kernels.get_backend()")
-
-
-def add_bits_into(packed, dim, out):
-    """Add the unpacked 0/1 bits of ``packed`` into accumulator ``out`` in place."""
-    raise NotImplementedError("canonical signature stub — use repro.kernels.get_backend()")
-
-
-def majority_vote_counts(packed_stack, dim, out):
-    """Accumulate per-bit vote counts ``(n, m, words) -> out (n, dim)`` in place."""
     raise NotImplementedError("canonical signature stub — use repro.kernels.get_backend()")

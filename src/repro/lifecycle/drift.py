@@ -51,7 +51,7 @@ def training_centroid(encoder: Any, X: np.ndarray) -> np.ndarray:
     """
     packed = encoder.transform(np.asarray(X, dtype=np.float64))
     dim = int(encoder.dim)
-    counts = unpack_bits(packed, dim).astype(np.int64).sum(axis=0)
+    counts = unpack_bits(packed, dim).sum(axis=0, dtype=np.int64)
     return centroid_from_counts(counts, int(packed.shape[0]), dim)
 
 
@@ -166,14 +166,9 @@ class DriftMonitor:
         # The unpack runs outside the lock on purpose (it is the whole
         # cost of the update); a dim-changing swap racing it is caught
         # by the shape check below and the stale delta dropped.
-        if dense:
-            delta = features.astype(np.int64, copy=False).sum(axis=0)
-        else:
-            delta = (
-                unpack_bits(features.astype(np.uint64, copy=False), dim)
-                .astype(np.int64)
-                .sum(axis=0)
-            )
+        if not dense:
+            features = unpack_bits(features.astype(np.uint64, copy=False), dim)
+        delta = features.sum(axis=0, dtype=np.int64)
         with self._lock:
             if delta.shape[0] != self._counts.shape[0]:
                 return  # stale flush racing a dim-changing swap; drop it

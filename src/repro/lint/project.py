@@ -72,8 +72,6 @@ PACKED_CONSUMER_POSITIONS: Dict[str, Tuple[int, ...]] = {
     "loo_topk_hamming": (0,),
     "popcount": (0,),
     "xor_packed": (0, 1),
-    "add_bits_into": (0,),
-    "majority_vote_counts": (0,),
 }
 
 _PROM_LITERAL = re.compile(r"repro_[a-z0-9_]+")

@@ -9,11 +9,38 @@ from repro.core.bundling import (
     majority_vote_batch,
     weighted_majority,
 )
-from repro.core.hypervector import Hypervector, pack_bits, random_packed, unpack_bits
+from repro.core.hypervector import (
+    Hypervector,
+    n_words,
+    pack_bits,
+    random_packed,
+    tail_mask,
+    unpack_bits,
+)
 
 
 def pack_rows(rows):
     return pack_bits(np.asarray(rows, dtype=np.uint8))
+
+
+def dense_batch_majority(packed_stack, dim, tie, seed):
+    """Per-row :func:`majority_dense`; random ties take one global draw.
+
+    For ``tie="random"`` the tied bits are the rows where the ``one`` and
+    ``zero`` rules disagree, filled from a single ``integers(0, 2)`` stream
+    in row-major order — the batch contract of ``majority_vote_batch``.
+    """
+    rows = [unpack_bits(record, dim) for record in packed_stack]
+    if tie != "random":
+        return np.stack([majority_dense(r, tie=tie) for r in rows])
+    ones = np.stack([majority_dense(r, tie="one") for r in rows])
+    zeros = np.stack([majority_dense(r, tie="zero") for r in rows])
+    tied = ones != zeros
+    out = zeros.copy()
+    out[tied] = np.random.default_rng(seed).integers(
+        0, 2, size=int(tied.sum()), dtype=np.uint8
+    )
+    return out
 
 
 class TestMajorityDense:
@@ -92,6 +119,13 @@ class TestMajorityVotePacked:
         with pytest.raises(ValueError, match="zero vectors"):
             majority_vote_batch(np.zeros((2, 0, 1), dtype=np.uint64), 64)
 
+    def test_batch_validation(self):
+        stack = random_packed((2, 3), 10, seed=0)
+        with pytest.raises(ValueError, match="tie"):
+            majority_vote_batch(stack, 10, tie="coin")
+        with pytest.raises(ValueError, match="words"):
+            majority_vote_batch(stack, 65)
+
     def test_bundled_vector_is_close_to_inputs(self, rng):
         """Kanerva property: the bundle is closer to its members than chance."""
         dim = 10_000
@@ -108,6 +142,21 @@ class TestMajorityVotePacked:
         assert np.array_equal(
             majority_vote(packed, dim, tie="one"), majority_vote(packed, dim, tie="zero")
         )
+
+
+class TestPackedMajorityMatchesDense:
+    """The bit-plane majority against the plain per-row integer vote."""
+
+    @pytest.mark.parametrize("tie", ["one", "zero", "random"])
+    @pytest.mark.parametrize("dim", [2, 63, 64, 65, 130, 999])
+    @pytest.mark.parametrize("m", range(1, 18))
+    def test_matches_per_row_dense(self, m, dim, tie):
+        stack = random_packed((5, m), dim, seed=1000 * m + dim)
+        got = majority_vote_batch(stack, dim, tie=tie, seed=m)
+        assert got.shape == (5, n_words(dim))
+        assert not np.any(got[:, -1] & ~tail_mask(dim))
+        want = dense_batch_majority(stack, dim, tie, seed=m)
+        assert np.array_equal(unpack_bits(got, dim), want)
 
 
 class TestWeightedMajority:

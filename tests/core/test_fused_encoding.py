@@ -1,7 +1,7 @@
 """Differential tests: fused fast path vs the per-value reference path.
 
 The fused pipeline (precomputed level tables, quantise-and-gather batch
-encoding, counts-based bundling, chunked dispatch) must be *bit-identical*
+encoding, bit-plane bundling, chunked dispatch) must be *bit-identical*
 to ``RecordEncoder.transform_reference`` — the original per-row, per-value
 construction — for every dimensionality (including non-multiples of 64),
 feature mix, tie rule and seed.  Any deviation is a correctness bug, not a
@@ -11,11 +11,7 @@ tolerance issue.
 import numpy as np
 import pytest
 
-from repro.core.bundling import (
-    majority_from_counts,
-    majority_vote_batch,
-    majority_vote_counts,
-)
+from repro.core.bundling import _count_planes, majority_vote_batch
 from repro.core.encoding import BinaryEncoder, CategoricalEncoder, LevelEncoder
 from repro.core.hypervector import flip_bits, n_words, unpack_bits
 from repro.core.records import FeatureSpec, RecordEncoder
@@ -162,22 +158,20 @@ class TestTransformMatchesReference:
     def test_chunking_and_workers_invariant(self, chunk_rows, n_jobs, rng):
         """Output must not depend on chunk geometry or worker count."""
         X, specs = _mixed_matrix(rng)
-        enc = RecordEncoder(specs, dim=130, seed=6).fit(X)
-        baseline = enc.transform(X)
-        assert np.array_equal(
-            enc.transform(X, n_jobs=n_jobs, chunk_rows=chunk_rows), baseline
-        )
+        baseline = RecordEncoder(specs, dim=130, seed=6).fit(X).transform(X)
+        enc = RecordEncoder(
+            specs, dim=130, seed=6, n_jobs=n_jobs, chunk_rows=chunk_rows
+        ).fit(X)
+        assert np.array_equal(enc.transform(X), baseline)
 
     def test_random_tie_chunking_invariant(self, rng):
         """The random tie rule consumes one global RNG stream: chunk size
         must not change which bits get which random tie-break."""
         X = rng.normal(size=(60, 4))  # even feature count → ties happen
-        enc = RecordEncoder(dim=130, seed=8, tie="random").fit(X)
-        baseline = enc.transform(X, chunk_rows=4096)
+        baseline = RecordEncoder(dim=130, seed=8, tie="random").fit(X).transform(X)
         for chunk_rows in (1, 13, 59):
-            assert np.array_equal(
-                enc.transform(X, chunk_rows=chunk_rows), baseline
-            )
+            enc = RecordEncoder(dim=130, seed=8, tie="random", chunk_rows=chunk_rows)
+            assert np.array_equal(enc.fit(X).transform(X), baseline)
 
     def test_empty_batch_rejected_like_reference(self, rng):
         X, specs = _mixed_matrix(rng)
@@ -205,42 +199,16 @@ class TestTransformMatchesReference:
 class TestCountsKernel:
     @pytest.mark.parametrize("dim", DIMS)
     def test_counts_equal_dense_sum(self, dim, rng):
+        """The carry-save bit-planes encode exactly the per-bit vote sums."""
         from repro.core.hypervector import random_packed
 
-        stack = random_packed((9, 5), dim, seed=0)
-        counts = majority_vote_counts(stack, dim)
-        dense = unpack_bits(stack, dim).sum(axis=1)
-        assert np.array_equal(counts, dense)
-
-    def test_accumulate_into_existing(self, rng):
-        from repro.core.hypervector import random_packed
-
-        dim = 130
-        a = random_packed((4, 3), dim, seed=1)
-        b = random_packed((4, 2), dim, seed=2)
-        out = majority_vote_counts(a, dim, out=np.zeros((4, dim), dtype=np.int64))
-        majority_vote_counts(b, dim, out=out)
-        combined = np.concatenate([a, b], axis=1)
-        assert np.array_equal(out, majority_vote_counts(combined, dim))
-
-    def test_from_counts_matches_batch_kernel(self, rng):
-        from repro.core.hypervector import random_packed
-
-        dim = 100
-        for m in (2, 3, 4, 7, 8):
-            stack = random_packed((6, m), dim, seed=m)
-            counts = majority_vote_counts(stack, dim)
-            for tie in ("one", "zero"):
-                assert np.array_equal(
-                    majority_from_counts(counts, m, dim, tie=tie),
-                    majority_vote_batch(stack, dim, tie=tie),
-                )
-
-    def test_from_counts_validation(self):
-        counts = np.zeros((2, 10), dtype=np.int64)
-        with pytest.raises(ValueError, match="zero vectors"):
-            majority_from_counts(counts, 0, 10)
-        with pytest.raises(ValueError, match="tie"):
-            majority_from_counts(counts, 3, 10, tie="coin")
-        with pytest.raises(ValueError, match="counts"):
-            majority_from_counts(counts, 3, 12)
+        for m in (1, 2, 3, 5, 8, 9):
+            stack = random_packed((9, m), dim, seed=m)
+            planes = _count_planes(stack)
+            assert len(planes) == m.bit_length()
+            counts = sum(
+                unpack_bits(plane, dim).astype(np.int64) << b
+                for b, plane in enumerate(planes)
+            )
+            dense = unpack_bits(stack, dim).sum(axis=1)
+            assert np.array_equal(counts, dense)

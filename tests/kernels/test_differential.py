@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import kernels
-from repro.core.hypervector import pack_bits, unpack_bits
+from repro.core.hypervector import pack_bits
 from repro.core.search import (
     loo_topk_hamming,
     loo_topk_hamming_reference,
@@ -135,40 +135,6 @@ class TestNativeVsNumpy:
             d_p, i_p = knp.loo_topk_hamming_tile(X, start, stop, k)
             np.testing.assert_array_equal(d_n, d_p)
             np.testing.assert_array_equal(i_n, i_p)
-
-    @SETTINGS
-    @given(
-        st.integers(min_value=1, max_value=30),
-        st.integers(min_value=1, max_value=9),
-        st.integers(min_value=1, max_value=300),
-        st.integers(min_value=0, max_value=2**31),
-        st.sampled_from([np.int16, np.int32, np.int64]),
-    )
-    def test_vote_counts_and_add_bits(self, native_built, n, m, dim, seed, dtype):
-        gen = np.random.default_rng(seed)
-        bits = gen.integers(0, 2, size=(n * m, dim), dtype=np.uint8)
-        stack = pack_bits(bits, dim).reshape(n, m, -1)
-        native = get_backend("native")
-        got = native.majority_vote_counts(stack, dim, np.zeros((n, dim), dtype=dtype))
-        want = knp.majority_vote_counts(stack, dim, np.zeros((n, dim), dtype=dtype))
-        assert got.dtype == dtype  # int32 falls back to numpy, same dtype
-        np.testing.assert_array_equal(got, want)
-        a = native.add_bits_into(stack[:, 0, :], dim, np.zeros((n, dim), dtype=dtype))
-        b = knp.add_bits_into(stack[:, 0, :], dim, np.zeros((n, dim), dtype=dtype))
-        np.testing.assert_array_equal(a, b)
-
-    def test_vote_counts_against_unpacked_truth(self, native_built):
-        gen = np.random.default_rng(11)
-        n, m, dim = 17, 6, 999
-        bits = gen.integers(0, 2, size=(n * m, dim), dtype=np.uint8)
-        stack = pack_bits(bits, dim).reshape(n, m, -1)
-        truth = np.zeros((n, dim), dtype=np.int64)
-        for j in range(m):
-            truth += unpack_bits(stack[:, j, :], dim)
-        got = get_backend("native").majority_vote_counts(
-            stack, dim, np.zeros((n, dim), dtype=np.int64)
-        )
-        np.testing.assert_array_equal(got, truth)
 
     def test_zero_row_inputs(self, native_built):
         native = get_backend("native")

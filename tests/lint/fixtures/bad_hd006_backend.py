@@ -6,10 +6,9 @@ the canonical stubs in ``repro.kernels.signatures``:
 
 * ``hamming_block`` demotes ``word_chunk`` from keyword-only to positional;
 * ``topk_hamming_tile`` grows a default on the positional ``k``;
-* ``majority_vote_counts`` renames ``packed_stack`` to ``stack``.
+* ``loo_topk_hamming_tile`` renames ``stop`` to ``end``.
 
-``loo_topk_hamming_tile`` and ``add_bits_into`` match the contract exactly
-and must stay silent.
+``_merge`` is a private helper, not a registry kernel, and must stay silent.
 """
 
 
@@ -21,15 +20,9 @@ def topk_hamming_tile(Q, X, k=1, *, tile_cols=1024, word_chunk=32):  # drift: de
     return Q, X, k
 
 
-def loo_topk_hamming_tile(X, start, stop, k, *, tile_cols=1024, word_chunk=32):
-    return X, start, stop, k
+def loo_topk_hamming_tile(X, start, end, k, *, tile_cols=1024, word_chunk=32):  # drift: stop renamed
+    return X, start, end, k
 
 
-def add_bits_into(packed, dim, out):
-    out += packed
-    return out
-
-
-def majority_vote_counts(stack, dim, out):  # drift: packed_stack renamed
-    out += stack
-    return out
+def _merge(best, block):
+    return best, block

@@ -153,8 +153,9 @@ class TestRuleDetails:
         src = (
             "def hamming_block(A, B, *, word_chunk=None):\n"
             "    return A ^ B\n"
-            "def add_bits_into(packed, dim, out):\n"
-            "    return out\n"
+            "def loo_topk_hamming_tile(X, start, stop, k, *, tile_cols=1024,"
+            " word_chunk=32):\n"
+            "    return X\n"
         )
         findings = lint_source(
             src, "src/repro/kernels/my_backend.py", select=["HD006"]

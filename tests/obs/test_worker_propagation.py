@@ -74,13 +74,14 @@ class TestEncoderUnderProcessBackend:
         rng = np.random.default_rng(7)
         X = rng.normal(size=(64, 4))
         specs = infer_feature_specs(X)
-        enc = RecordEncoder(specs=specs, dim=256, seed=11).fit(X)
-        baseline = enc.transform(X)
+        baseline = RecordEncoder(specs=specs, dim=256, seed=11).fit(X).transform(X)
+        enc = RecordEncoder(specs=specs, dim=256, seed=11, n_jobs=2, chunk_rows=16)
+        enc.fit(X)
 
         obs.enable()
         monkeypatch.setenv("REPRO_BACKEND", "processes")
         with obs.span("root") as root:
-            packed = enc.transform(X, n_jobs=2, chunk_rows=16)
+            packed = enc.transform(X)
         np.testing.assert_array_equal(packed, baseline)
 
         records = obs.spans()

@@ -96,19 +96,15 @@ class TestChunkedPairwiseEnvRoundTrip:
 class TestRecordEncoderEnvRoundTrip:
     def test_transform_n_jobs_none_uses_env(self, monkeypatch, rng):
         X = rng.normal(size=(50, 3))
-        enc = RecordEncoder(dim=130, seed=1).fit(X)
-        serial = enc.transform(X, n_jobs=1)
+        serial = RecordEncoder(dim=130, seed=1, n_jobs=1).fit(X).transform(X)
         monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert np.array_equal(
-            enc.transform(X, n_jobs=None, chunk_rows=8), serial
-        )
+        enc = RecordEncoder(dim=130, seed=1, n_jobs=None, chunk_rows=8).fit(X)
+        assert np.array_equal(enc.transform(X), serial)
 
     def test_transform_env_processes_backend(self, monkeypatch, rng):
         X = rng.normal(size=(40, 3))
-        enc = RecordEncoder(dim=130, seed=2).fit(X)
-        serial = enc.transform(X, n_jobs=1)
+        serial = RecordEncoder(dim=130, seed=2, n_jobs=1).fit(X).transform(X)
         monkeypatch.setenv("REPRO_BACKEND", "processes")
         monkeypatch.setenv("REPRO_WORKERS", "2")
-        assert np.array_equal(
-            enc.transform(X, n_jobs=None, chunk_rows=16), serial
-        )
+        enc = RecordEncoder(dim=130, seed=2, n_jobs=None, chunk_rows=16).fit(X)
+        assert np.array_equal(enc.transform(X), serial)
