@@ -64,9 +64,9 @@ def main() -> None:
     variants = {"Pima R": load_pima_r(base=base), "Pima M": load_pima_m(base=base)}
     print(f"\n{'Dataset':8s}  {'Hamming':>8s}  {'NN feat':>8s}  {'NN HV':>8s}")
     for label, ds in variants.items():
-        # n_jobs=None consults REPRO_WORKERS/REPRO_BACKEND (serial when
-        # unset); the fast preset shrinks chunks so a worker fan-out is
-        # exercised even on the small table.
+        # n_jobs=None consults REPRO_WORKERS (the CPU count when unset);
+        # the fast preset shrinks chunks so a worker fan-out is exercised
+        # even on the small table.
         enc = RecordEncoder(
             specs=ds.specs, dim=DIM, seed=SEED,
             n_jobs=None, chunk_rows=256 if FAST else 2048,

@@ -158,17 +158,29 @@ def _majority_and_ties(
 
 
 def _break_ties(
-    out: np.ndarray, tied: np.ndarray, dim: int, seed: SeedLike
+    out: np.ndarray,
+    tied: np.ndarray,
+    dim: int,
+    seed: SeedLike,
+    chunk_rows: int = 2048,
 ) -> np.ndarray:
     """Set each tied bit of ``out`` to a fair coin flip, in place.
 
     One ``integers(0, 2)`` draw per tied bit, in row-major bit order —
-    the same draws :func:`majority_dense` makes for one vector.
+    the same draws :func:`majority_dense` makes for one vector.  The draw
+    is sized from the packed mask's popcount and scattered ``chunk_rows``
+    rows at a time, so only one chunk's tie mask is ever unpacked.
     """
-    bits = unpack_bits(tied, dim).astype(bool)
-    draws = as_generator(seed).integers(0, 2, size=int(bits.sum()), dtype=np.uint8)
-    bits[bits] = draws.astype(bool)
-    out |= pack_bits(bits, dim)
+    counts = np.bitwise_count(tied).sum(axis=1, dtype=np.int64)
+    draws = as_generator(seed).integers(0, 2, size=int(counts.sum()), dtype=np.uint8)
+    offset = 0
+    for start in range(0, out.shape[0], chunk_rows):
+        stop = start + chunk_rows
+        bits = unpack_bits(tied[start:stop], dim).view(bool)
+        n_tied = int(counts[start:stop].sum())
+        bits[bits] = draws[offset : offset + n_tied].view(bool)
+        offset += n_tied
+        out[start:stop] |= pack_bits(bits, dim)
     return out
 
 

@@ -85,8 +85,8 @@ class HammingClassifier(BaseEstimator, ClassifierMixin):
     tile_cols:
         Candidate-tile columns for the streaming engine.
     n_jobs:
-        Workers for query-tile dispatch (``None``/0 defers to
-        ``REPRO_WORKERS`` / ``REPRO_BACKEND``).
+        Worker threads for query-tile dispatch (``None``/0 defers to
+        ``REPRO_WORKERS``).
 
     Notes
     -----

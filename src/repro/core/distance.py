@@ -64,14 +64,9 @@ def hamming_block(
     return get_backend().hamming_block(A, B, word_chunk=word_chunk)
 
 
-def _pairwise_block(A_block: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return hamming_block(A_block, B)
-
-
 def _pairwise_span(A: np.ndarray, B: np.ndarray, span: Tuple[int, int]) -> np.ndarray:
-    # Top-level (picklable) dispatch target so the REPRO_BACKEND=processes
-    # env override round-trips; a lambda here would break pickling.
-    return _pairwise_block(A[span[0]:span[1]], B)
+    # One row block of A against all of B; parallel_map fans these out.
+    return hamming_block(A[span[0]:span[1]], B)
 
 
 @checks_same_dim("A", "B")
@@ -90,14 +85,14 @@ def pairwise_hamming(
     B : (n, words) uint64 or None
         ``None`` means ``B = A`` (the LOOCV case).
     chunk_rows:
-        Rows of ``A`` processed per block; each block materialises an
-        ``chunk_rows x n x words`` XOR temporary, so this bounds memory at
-        roughly ``chunk_rows * n * words * 9`` bytes.
+        Rows of ``A`` processed per block (this function's own chunking);
+        each block materialises an ``chunk_rows x n x words`` XOR
+        temporary, so this bounds memory at roughly
+        ``chunk_rows * n * words * 9`` bytes.
     n_jobs:
-        Worker count for block dispatch (default 1 = serial; ``None``/``0``
-        defers to the ``REPRO_WORKERS`` env var via
-        :func:`repro.parallel.pool.resolve_config`, and ``REPRO_BACKEND``
-        picks the backend — both process and thread backends work here).
+        Worker threads for block dispatch (default 1 = serial;
+        ``None``/``0`` defers to the ``REPRO_WORKERS`` env var via
+        :func:`repro.parallel.pool.effective_workers`).
 
     Returns
     -------

@@ -272,7 +272,7 @@ class RecordEncoder:
             # The random tie rule draws one RNG stream over the whole batch
             # (row-major), so the output does not depend on the chunking.
             tied = np.concatenate([ties for _, ties in blocks], axis=0)
-            return _break_ties(out, tied, self.dim, self.seed)
+            return _break_ties(out, tied, self.dim, self.seed, self.chunk_rows)
 
     def transform_reference(self, X: np.ndarray) -> np.ndarray:
         """The per-row, per-value path, kept as a bit-exact oracle.

@@ -63,7 +63,7 @@ from repro.kernels.numpy_backend import (
 from repro.obs import span
 from repro.utils.contracts import checks_packed, checks_same_dim
 from repro.parallel.chunking import chunk_spans
-from repro.parallel.pool import parallel_map, resolve_config
+from repro.parallel.pool import effective_workers, parallel_map
 
 # Engine defaults: with word_chunk=32 a 128x1024 tile keeps the XOR
 # temporary at ~32 MB and the popcount working set cache-resident, which
@@ -108,9 +108,7 @@ def _topk_span(
     word_chunk: int,
     span: Tuple[int, int],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    # Top-level (picklable) worker: one query tile vs. the whole store.
-    # The backend is re-resolved here so REPRO_KERNEL round-trips into
-    # process workers the same way REPRO_WORKERS/REPRO_BACKEND do.
+    # One query tile vs. the whole store, dispatched by parallel_map.
     return get_backend().topk_hamming_tile(
         Q[span[0] : span[1]], X, k, tile_cols=tile_cols, word_chunk=word_chunk
     )
@@ -145,8 +143,8 @@ def topk_hamming(
         Words per popcount slice inside a tile (see
         :func:`repro.core.distance.hamming_block`).
     n_jobs:
-        Workers for query-tile dispatch; ``None``/0 defers to
-        ``REPRO_WORKERS`` / ``REPRO_BACKEND``.
+        Worker threads for query-tile dispatch; ``None``/0 defers to
+        ``REPRO_WORKERS``.
 
     Returns
     -------
@@ -249,8 +247,8 @@ def _loo_span(
     word_chunk: int,
     rspan: Tuple[int, int],
 ) -> Tuple[np.ndarray, np.ndarray]:
-    # Top-level (picklable) worker for fused backends: one row span's
-    # whole leave-one-out scan in a single backend call.
+    # Fused-backend worker: one row span's whole leave-one-out scan in a
+    # single backend call.
     return get_backend().loo_topk_hamming_tile(
         X, rspan[0], rspan[1], k, tile_cols=tile_cols, word_chunk=word_chunk
     )
@@ -311,7 +309,7 @@ def loo_topk_hamming(
     sentinel = np.int64(64 * words + 1)
     best_d = np.full((n, k), _EMPTY, dtype=np.int64)
     best_i = np.full((n, k), -1, dtype=np.int64)
-    group = max(1, resolve_config(n_jobs).workers)
+    group = effective_workers(n_jobs)
     with span("search.loo_topk", rows=n, k=k, kernel=backend.name):
         for r0, r1 in chunk_spans(n, chunk_rows):
             # Diagonal tile: covers all intra-tile pairs (both orientations),

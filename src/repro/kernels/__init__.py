@@ -17,8 +17,8 @@ This package makes those kernels *pluggable*: a pure-``numpy`` baseline
 (the previous in-tree implementations, extracted verbatim) and an
 optional compiled ``native`` backend (cffi C extension with hardware
 ``popcnt`` via ``__builtin_popcountll``).  Selection mirrors the
-``REPRO_WORKERS``/``REPRO_BACKEND`` pattern of
-:func:`repro.parallel.pool.resolve_config`:
+``REPRO_WORKERS`` pattern of
+:func:`repro.parallel.pool.effective_workers`:
 
 * ``REPRO_KERNEL=numpy``  — force the numpy baseline.
 * ``REPRO_KERNEL=native`` — require the compiled backend; raises

@@ -1,11 +1,11 @@
 """Backend registry + ``REPRO_KERNEL`` resolution.
 
 Mirrors the env-resolution contract of
-:func:`repro.parallel.pool.resolve_config` (``REPRO_WORKERS`` /
-``REPRO_BACKEND``): an explicit argument always beats the environment,
-``REPRO_KERNEL`` fills in when no argument is given, an invalid value
-raises a ``ValueError`` that names the variable, and the resolved
-outcome is fully introspectable (:func:`active_backend`,
+:func:`repro.parallel.pool.effective_workers` (``REPRO_WORKERS``): an
+explicit argument always beats the environment, ``REPRO_KERNEL`` fills
+in when no argument is given, an invalid value raises a ``ValueError``
+that names the variable, and the resolved outcome is fully
+introspectable (:func:`active_backend`,
 :func:`available_backends`).
 
 Resolution semantics::

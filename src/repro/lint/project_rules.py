@@ -218,7 +218,7 @@ class ConfigDriftRule(ProjectRule):
     name = "config-drift"
     description = (
         "os.environ / os.getenv reads are confined to the blessed "
-        "resolvers (repro.parallel.resolve_config, the kernel registry, "
+        "resolvers (repro.parallel.effective_workers, the kernel registry, "
         "repro.utils.contracts, repro.obs.spans, "
         "repro.serve.config.resolve_serve_config) so every REPRO_* knob "
         "has one documented owner; ad-hoc reads elsewhere drift out of "
@@ -241,7 +241,7 @@ class ConfigDriftRule(ProjectRule):
                     mod.path, read.line, read.col,
                     f"environment read of {what} outside the blessed "
                     f"config resolvers; route it through "
-                    f"repro.parallel.resolve_config or the kernel "
+                    f"repro.parallel.effective_workers or the kernel "
                     f"registry so the knob stays documented",
                 )
 

@@ -3,8 +3,8 @@
 Public surface:
 
 * :func:`span` — ``with span("encode.transform", rows=n):`` tracing with
-  parent/child nesting, propagated across ``repro.parallel`` process
-  workers; a shared no-op unless armed.
+  parent/child nesting, propagated into ``repro.parallel`` worker
+  threads; a shared no-op unless armed.
 * :data:`REGISTRY` / :class:`MetricsRegistry` — process-local counters,
   gauges and fixed-bucket histograms.
 * :mod:`repro.obs.export` — JSON and Prometheus text renderers plus the
@@ -34,13 +34,10 @@ from repro.obs.spans import (
     drain_spans,
     enable,
     enabled,
-    ingest_spans,
     reset,
     run_with_parent,
     span,
     spans,
-    worker_begin,
-    worker_collect,
 )
 from repro.obs.export import snapshot, span_coverage, to_json, to_prometheus
 
@@ -60,13 +57,10 @@ __all__ = [
     "drain_spans",
     "enable",
     "enabled",
-    "ingest_spans",
     "reset",
     "run_with_parent",
     "span",
     "spans",
-    "worker_begin",
-    "worker_collect",
     "snapshot",
     "span_coverage",
     "to_json",

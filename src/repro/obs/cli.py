@@ -121,8 +121,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    # Arm tracing in this process and (via the env) in any worker
-    # processes the script spawns through repro.parallel.
+    # Arm tracing in this process and (via the env) in any Python
+    # subprocess the script starts.
     os.environ["REPRO_OBS"] = "1"
     obs.enable()
     obs.reset()

@@ -26,14 +26,10 @@ is one module-global check per call site.  :func:`enable` /
 
 Worker propagation
 ------------------
-:func:`repro.parallel.pool.parallel_map` ships spans recorded inside
-process-pool workers back to the parent alongside each chunk result:
-the worker drains its buffer per item (:func:`worker_collect`), and the
-parent re-parents the worker's root spans under the span that was
-active at dispatch time (:func:`ingest_spans`), remapping span ids so
-they stay unique in the parent process.  Thread workers simply adopt
-the dispatcher's current span as their parent via
-:func:`run_with_parent`.
+:func:`repro.parallel.pool.parallel_map` runs its items on worker
+threads, which would otherwise start with an empty span stack; each
+worker adopts the dispatcher's current span as its parent via
+:func:`run_with_parent`, so its spans nest under the dispatch-time span.
 """
 
 from __future__ import annotations
@@ -43,7 +39,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
 from repro.obs.metrics import REGISTRY
 
@@ -76,18 +72,6 @@ class SpanRecord:
             "attrs": dict(self.attrs),
             "pid": self.pid,
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, Any]) -> "SpanRecord":
-        return cls(
-            name=payload["name"],
-            span_id=int(payload["span_id"]),
-            parent_id=None if payload["parent_id"] is None else int(payload["parent_id"]),
-            start=float(payload["start"]),
-            duration=float(payload["duration"]),
-            attrs=dict(payload.get("attrs", {})),
-            pid=int(payload.get("pid", 0)),
-        )
 
 
 class _NullSpan:
@@ -200,37 +184,6 @@ class Tracer:
             self._completed = []
         return out
 
-    def ingest(
-        self, records: Sequence[SpanRecord], parent_id: Optional[int] = None
-    ) -> None:
-        """Adopt foreign (worker) spans: remap ids to this tracer's counter
-        so they stay unique, and attach orphan roots under ``parent_id``."""
-        if not records:
-            return
-        remap: Dict[int, int] = {}
-        adopted: List[SpanRecord] = []
-        for rec in records:
-            remap[rec.span_id] = next(self._ids)
-        for rec in records:
-            new_parent = (
-                remap[rec.parent_id]
-                if rec.parent_id is not None and rec.parent_id in remap
-                else parent_id
-            )
-            adopted.append(
-                SpanRecord(
-                    name=rec.name,
-                    span_id=remap[rec.span_id],
-                    parent_id=new_parent,
-                    start=rec.start,
-                    duration=rec.duration,
-                    attrs=rec.attrs,
-                    pid=rec.pid,
-                )
-            )
-        with self._lock:
-            self._completed.extend(adopted)
-
     def reset(self) -> None:
         with self._lock:
             self._completed = []
@@ -284,21 +237,14 @@ def current_span_id() -> Optional[int]:
     return TRACER.current_span_id()
 
 
-def ingest_spans(
-    records: Sequence[SpanRecord], parent_id: Optional[int] = None
-) -> None:
-    """Adopt spans recorded elsewhere (worker processes) into this tracer."""
-    TRACER.ingest(records, parent_id=parent_id)
-
-
 def run_with_parent(
     parent_id: Optional[int], fn: Callable[..., Any], *args: Any
 ) -> Any:
     """Call ``fn`` with this thread's span-stack base seeded to ``parent_id``.
 
-    Used by the thread backend of :func:`repro.parallel.pool.parallel_map`
-    so spans opened inside worker threads nest under the span that was
-    active in the dispatching thread.
+    Used by :func:`repro.parallel.pool.parallel_map` so spans opened
+    inside worker threads nest under the span that was active in the
+    dispatching thread.
     """
     tls = TRACER._tls
     prev = tls.base_parent
@@ -308,38 +254,3 @@ def run_with_parent(
     finally:
         tls.base_parent = prev
 
-
-# -- process-worker shuttle helpers ------------------------------------
-
-
-# Pid of the process in which this module last initialised worker-side
-# tracing.  A fork child inherits the parent's value (and the parent's
-# span buffer/metrics), so a mismatch with os.getpid() identifies the
-# first shuttle call in a fresh worker — the moment to drop inherited
-# state and arm the tracer.
-_WORKER_READY_PID: Optional[int] = None
-
-
-def worker_begin() -> None:
-    """Prepare a process-pool worker to record spans for one work item.
-
-    On the first call in a given worker process this arms the tracer
-    (covering runtime :func:`enable` under both fork and spawn start
-    methods) and drops any span buffer / metrics inherited from the
-    parent via fork, so the worker only ever reports its own spans and
-    metric deltas.  Subsequent calls in the same worker are no-ops.
-    """
-    global _WORKER_READY_PID
-    if _WORKER_READY_PID != os.getpid():
-        TRACER.reset()
-        REGISTRY.reset()
-        TRACER.enabled = True
-        _WORKER_READY_PID = os.getpid()
-
-
-def worker_collect() -> Tuple[List[Dict[str, Any]], Dict[str, Dict[str, object]]]:
-    """Drain this worker's spans + metric deltas for shipping to the parent."""
-    records = [rec.as_dict() for rec in TRACER.drain()]
-    deltas = REGISTRY.collect()
-    REGISTRY.reset()
-    return records, deltas

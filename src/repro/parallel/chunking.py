@@ -1,31 +1,15 @@
-"""Block decomposition for quadratic kernels.
+"""Row-span decomposition for blocked kernels.
 
-The leave-one-out Hamming evaluation needs an ``n x n`` distance matrix.
-For the paper's datasets (n <= 768) that is trivial, but the library is
-meant to scale: ``chunked_pairwise`` evaluates any pairwise kernel in row
-blocks so peak temporary memory stays bounded at ``block x n`` words, and
-blocks can be dispatched through :func:`repro.parallel.pool.parallel_map`.
+The encoder, the pairwise Hamming matrix and the streaming top-k engine
+all walk their inputs in contiguous row blocks so peak temporary memory
+stays bounded at ``block x n`` words; :func:`chunk_spans` yields those
+blocks, which callers dispatch through
+:func:`repro.parallel.pool.parallel_map`.
 """
 
 from __future__ import annotations
 
-from functools import partial
-from typing import Callable, Iterator, List, Optional, Tuple
-
-import numpy as np
-
-from repro.parallel.pool import parallel_map
-
-
-def _kernel_span(
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    A: np.ndarray,
-    B: np.ndarray,
-    span: Tuple[int, int],
-) -> np.ndarray:
-    # Top-level dispatch target: picklable (given a picklable kernel) so the
-    # REPRO_BACKEND=processes override round-trips through parallel_map.
-    return kernel(A[span[0]:span[1]], B)
+from typing import List, Tuple
 
 
 def chunk_spans(n: int, chunk: int) -> List[Tuple[int, int]]:
@@ -39,78 +23,3 @@ def chunk_spans(n: int, chunk: int) -> List[Tuple[int, int]]:
     if chunk < 1:
         raise ValueError(f"chunk must be >= 1, got {chunk}")
     return [(i, min(i + chunk, n)) for i in range(0, n, chunk)]
-
-
-def tile_spans(
-    n_rows: int, n_cols: int, tile_rows: int, tile_cols: int
-) -> List[Tuple[Tuple[int, int], Tuple[int, int]]]:
-    """Row-major grid of ``(row_span, col_span)`` tiles over an n×m matrix.
-
-    >>> tile_spans(3, 5, 2, 4)
-    [((0, 2), (0, 4)), ((0, 2), (4, 5)), ((2, 3), (0, 4)), ((2, 3), (4, 5))]
-    """
-    return [
-        (rs, cs)
-        for rs in chunk_spans(n_rows, tile_rows)
-        for cs in chunk_spans(n_cols, tile_cols)
-    ]
-
-
-def iter_chunks(array: np.ndarray, chunk: int) -> Iterator[np.ndarray]:
-    """Yield contiguous row-block *views* (no copies) of ``array``."""
-    for start, stop in chunk_spans(array.shape[0], chunk):
-        yield array[start:stop]
-
-
-def chunked_pairwise(
-    kernel: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    A: np.ndarray,
-    B: Optional[np.ndarray] = None,
-    *,
-    chunk: int = 256,
-    n_jobs: Optional[int] = 1,
-    out_dtype=None,
-) -> np.ndarray:
-    """Evaluate ``kernel(A_block, B)`` block-by-block into a full matrix.
-
-    Parameters
-    ----------
-    kernel:
-        Function mapping ``(m, d), (n, d) -> (m, n)``; must be pure
-        (blocks may run concurrently under the threads backend).
-    A, B:
-        Row-major operand matrices; ``B=None`` means ``B = A``.
-    chunk:
-        Rows of ``A`` per block.
-    n_jobs:
-        Workers for block dispatch (default 1 = serial; the kernels are
-        already vectorised so parallelism pays off only for large n).
-    out_dtype:
-        Dtype of the output matrix; inferred from the first block if None.
-        With zero rows there is no block to infer from, so the empty
-        result defaults to ``int64`` — the dtype of the integer Hamming
-        kernels this decomposition fronts (float kernels should pass
-        ``out_dtype`` explicitly when the zero-row dtype matters).
-    """
-    if B is None:
-        B = A
-    if A.ndim != 2 or B.ndim != 2:
-        raise ValueError("A and B must be 2-d")
-    if A.shape[1] != B.shape[1]:
-        raise ValueError(f"column mismatch: A has {A.shape[1]}, B has {B.shape[1]}")
-
-    spans = chunk_spans(A.shape[0], chunk)
-    if not spans:
-        return np.zeros((0, B.shape[0]), dtype=out_dtype or np.int64)
-
-    blocks = parallel_map(partial(_kernel_span, kernel, A, B), spans, n_jobs=n_jobs)
-    first = blocks[0]
-    if first.shape != (spans[0][1] - spans[0][0], B.shape[0]):
-        raise ValueError(
-            f"kernel returned shape {first.shape}, expected "
-            f"({spans[0][1] - spans[0][0]}, {B.shape[0]})"
-        )
-    out = np.empty((A.shape[0], B.shape[0]), dtype=out_dtype or first.dtype)
-    for (start, stop), block in zip(spans, blocks):
-        out[start:stop] = block
-    return out

@@ -1,16 +1,17 @@
-"""Ordered parallel map with pluggable thread/process backends.
+"""Ordered parallel map over a thread pool.
 
 Design notes
 ------------
+* **Threads only** — every fan-out in the library (record encoding,
+  Hamming tiles, forest/GBDT/CV fitting) is NumPy-bound work that
+  releases the GIL, so threads scale without pickling and worker spans
+  nest under the caller's trace tree via :func:`repro.obs.run_with_parent`.
 * **Ordering** — results are returned in input order regardless of
   completion order, so callers (forest fitting, CV folds) stay
   deterministic.
-* **Serial fast path** — with one worker (or tiny inputs) we run inline;
-  no pool is spun up, which keeps single-core machines and tests fast and
-  makes tracebacks direct.
-* **Backend choice** — ``threads`` (default) suits NumPy-bound work that
-  releases the GIL; ``processes`` suits pure-Python CPU work.  Both can be
-  forced globally through ``REPRO_BACKEND`` and ``REPRO_WORKERS``.
+* **Serial fast path** — with one worker (or fewer than two items) we run
+  inline; no pool is spun up, which keeps single-core machines and tests
+  fast and makes tracebacks direct.
 * **Error propagation** — the first worker exception is re-raised in the
   caller with its original type; remaining futures are cancelled.
 """
@@ -18,32 +19,13 @@ Design notes
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable, List, Optional, Sequence, TypeVar
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable, Iterable, List, Optional, Sequence, TypeVar
 
 from repro import obs
 
 T = TypeVar("T")
 R = TypeVar("R")
-
-_VALID_BACKENDS = ("threads", "processes", "serial")
-
-
-@dataclass(frozen=True)
-class WorkerConfig:
-    """Resolved parallel-execution configuration."""
-
-    workers: int
-    backend: str
-
-    def __post_init__(self) -> None:
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
-        if self.backend not in _VALID_BACKENDS:
-            raise ValueError(
-                f"backend must be one of {_VALID_BACKENDS}, got {self.backend!r}"
-            )
 
 
 def effective_workers(n_jobs: Optional[int] = None) -> int:
@@ -51,6 +33,9 @@ def effective_workers(n_jobs: Optional[int] = None) -> int:
 
     ``None``/0 → the ``REPRO_WORKERS`` env var if set, else cpu count;
     negative → ``max(1, cpu + 1 + n_jobs)`` (sklearn-style ``-1`` = all).
+    An explicit positive count always beats the environment, and an
+    invalid ``REPRO_WORKERS`` raises ``ValueError`` rather than being
+    silently ignored.
     """
     if n_jobs is None or n_jobs == 0:
         env = os.environ.get("REPRO_WORKERS")
@@ -65,117 +50,37 @@ def effective_workers(n_jobs: Optional[int] = None) -> int:
     return n_jobs
 
 
-def resolve_config(n_jobs: Optional[int] = None, backend: Optional[str] = None) -> WorkerConfig:
-    """Combine explicit arguments with environment defaults.
-
-    This is the *single* resolution point for parallel execution: every
-    dispatcher (``parallel_map``, and through it ``pairwise_hamming``,
-    ``chunked_pairwise`` and ``RecordEncoder.transform``) funnels its
-    ``n_jobs``/``backend`` request through here, so an explicit argument, a
-    ``None`` (= consult ``REPRO_WORKERS`` / ``REPRO_BACKEND``) and the
-    documented env overrides all round-trip identically.  Invalid env
-    values raise immediately (``ValueError``) rather than being silently
-    ignored.
-    """
-    resolved_backend = backend or os.environ.get("REPRO_BACKEND", "threads")
-    return WorkerConfig(workers=effective_workers(n_jobs), backend=resolved_backend)
-
-
-class _ObsShuttle:
-    """Picklable wrapper shipping worker spans/metrics back with results.
-
-    Used by :func:`parallel_map` for the ``processes`` backend when
-    :mod:`repro.obs` tracing is armed: the worker records spans as usual,
-    and each item's result is returned as ``(value, span_dicts,
-    metric_deltas)`` for the parent to unwrap, re-parent under the
-    dispatch-time active span and fold into its own registry.
-    """
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn: Callable[..., Any]) -> None:
-        self.fn = fn
-
-    def __call__(self, item: Any) -> Any:
-        obs.worker_begin()
-        value = self.fn(item)
-        span_dicts, deltas = obs.worker_collect()
-        return value, span_dicts, deltas
-
-
 def parallel_map(
     fn: Callable[[T], R],
     items: Iterable[T],
     *,
     n_jobs: Optional[int] = None,
-    backend: Optional[str] = None,
-    chunk_threshold: int = 2,
 ) -> List[R]:
-    """Apply ``fn`` to every item, in order, possibly in parallel.
+    """Apply ``fn`` to every item, in order, possibly on worker threads.
 
-    Parameters
-    ----------
-    fn:
-        Callable applied to each item.  Must be picklable for the
-        ``processes`` backend.
-    items:
-        Input sequence (materialised once).
-    n_jobs:
-        Worker count request; see :func:`effective_workers`.
-    backend:
-        ``"threads"``, ``"processes"`` or ``"serial"``; defaults to the
-        ``REPRO_BACKEND`` env var, else threads.
-    chunk_threshold:
-        Inputs with fewer items than this run serially — a pool would only
-        add latency.
-
-    Returns
-    -------
-    list
-        ``[fn(x) for x in items]``, in input order.
+    ``n_jobs`` is the worker-count request (see :func:`effective_workers`);
+    inputs that would get fewer than two workers run inline.  Returns
+    ``[fn(x) for x in items]``, in input order.
     """
     seq: Sequence[T] = list(items)
-    cfg = resolve_config(n_jobs, backend)
-    if cfg.backend == "serial" or cfg.workers == 1 or len(seq) < chunk_threshold:
+    workers = min(effective_workers(n_jobs), len(seq))
+    if workers < 2:
         # Serial path needs no propagation: spans opened inside ``fn``
         # nest naturally under the caller's active span.
         return [fn(x) for x in seq]
 
-    # Span propagation (repro.obs): capture the dispatch-time active span
-    # so worker-side spans stay attached to the caller's trace tree.
-    # Costs a single enabled() check when tracing is disarmed.
-    tracing = obs.enabled()
-    obs_parent = obs.current_span_id() if tracing else None
-    shuttle = cfg.backend == "processes" and tracing
-
-    executor_cls = ThreadPoolExecutor if cfg.backend == "threads" else ProcessPoolExecutor
-    workers = min(cfg.workers, len(seq))
-    with executor_cls(max_workers=workers) as pool:
-        if shuttle:
-            wrapped = _ObsShuttle(fn)
-            futures = [pool.submit(wrapped, x) for x in seq]
-        elif tracing and cfg.backend == "threads":
-            futures = [
-                pool.submit(obs.run_with_parent, obs_parent, fn, x) for x in seq
-            ]
+    # Span propagation (repro.obs): worker threads adopt the dispatch-time
+    # active span as their parent.  Costs one enabled() check when
+    # tracing is disarmed.
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        if obs.enabled():
+            parent = obs.current_span_id()
+            futures = [pool.submit(obs.run_with_parent, parent, fn, x) for x in seq]
         else:
             futures = [pool.submit(fn, x) for x in seq]
-        results: List[R] = []
         try:
-            for fut in futures:
-                results.append(fut.result())
+            return [fut.result() for fut in futures]
         except BaseException:
             for fut in futures:
                 fut.cancel()
             raise
-    if shuttle:
-        values: List[R] = []
-        for value, span_dicts, deltas in results:  # type: ignore[misc]
-            obs.ingest_spans(
-                [obs.SpanRecord.from_dict(d) for d in span_dicts],
-                parent_id=obs_parent,
-            )
-            obs.REGISTRY.merge(deltas)
-            values.append(value)
-        return values
-    return results

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 
 from repro.persist import ArtifactError, artifact_info
 from repro.serve.config import ServeConfig, resolve_serve_config
-from repro.serve.http import ModelServer
+from repro.serve.http import ModelServer, stop_on_sigterm
 from repro.serve.pool import ServePool
 
 
@@ -151,6 +151,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ArtifactError as exc:
         print(f"repro-serve: error: {exc}", file=sys.stderr)
         return 2
+    # SIGTERM is handled from here on: one landing while the server boots
+    # or right after the banner stops it cleanly (workers reaped).
+    with stop_on_sigterm():
+        return _serve(args, config, info)
+
+
+def _serve(args: argparse.Namespace, config: ServeConfig, info: dict) -> int:
     if config.workers > 1:
         try:
             pool = ServePool(args.artifact, config)

@@ -180,7 +180,7 @@ def resolve_serve_config(
 ) -> ServeConfig:
     """Combine explicit pool knobs with environment defaults.
 
-    Mirrors :func:`repro.parallel.pool.resolve_config`: an explicit
+    Mirrors :func:`repro.parallel.pool.effective_workers`: an explicit
     (non-``None``) argument wins, otherwise the matching environment
     variable (``REPRO_SERVE_WORKERS`` / ``REPRO_SERVE_MMAP``), otherwise
     the dataclass default.  Any other :class:`ServeConfig` field passes

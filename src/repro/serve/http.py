@@ -39,12 +39,13 @@ anywhere the package itself runs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import signal
 import socket
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Optional, Tuple
+from typing import Any, Callable, Iterator, Optional, Tuple
 
 from repro.obs.export import to_prometheus
 from repro.serve.batcher import QueueFullError
@@ -418,6 +419,60 @@ def _make_handler(service: InferenceService, config: ServeConfig):
     return _Handler
 
 
+# The event of the outermost active stop_on_sigterm() block, if any.
+_SIGTERM_EVENT: Optional[threading.Event] = None
+
+
+@contextlib.contextmanager
+def stop_on_sigterm() -> Iterator[threading.Event]:
+    """Turn SIGTERM into a set event for the duration of the block.
+
+    SIGTERM is what init systems, containers, and CI runners send — and a
+    non-interactive shell backgrounding the CLI with ``&`` leaves SIGINT
+    ignored, so it is the only reliable stop signal there.  The handler
+    only sets the event: it runs on the main thread, possibly
+    mid-critical-section, so it must not touch locks.
+
+    Nested blocks share the outermost event.  The CLI installs the
+    handler before it starts a server or forks a pool, so a SIGTERM that
+    lands before :func:`run_until_stopped` is waiting still stops it
+    cleanly instead of killing the process (and orphaning pool workers).
+    Off the main thread no handler can be installed; the event is then
+    never set and Ctrl-C still applies.
+    """
+    global _SIGTERM_EVENT
+    if _SIGTERM_EVENT is not None:
+        yield _SIGTERM_EVENT
+        return
+    shutdown = threading.Event()
+    if threading.current_thread() is not threading.main_thread():
+        yield shutdown
+        return
+    previous = signal.signal(signal.SIGTERM, lambda *_: shutdown.set())
+    _SIGTERM_EVENT = shutdown
+    try:
+        yield shutdown
+    finally:
+        _SIGTERM_EVENT = None
+        signal.signal(signal.SIGTERM, previous)
+
+
+def run_until_stopped(
+    start: Callable[[], Any], running: Callable[[], bool], stop: Callable[[], None]
+) -> None:
+    """``start()``, block until SIGTERM, Ctrl-C or ``running()`` is false,
+    then ``stop()`` — the one blocking loop behind both CLI servers."""
+    with stop_on_sigterm() as shutdown:
+        try:
+            start()
+            while running() and not shutdown.wait(0.5):
+                pass
+        except KeyboardInterrupt:
+            pass
+        finally:
+            stop()
+
+
 class ModelServer:
     """Bind an :class:`InferenceService` to a threaded HTTP server.
 
@@ -514,32 +569,14 @@ class ModelServer:
         self.service.stop()
 
     def serve_forever(self) -> None:
-        """Blocking variant for the CLI; Ctrl-C or SIGTERM stops cleanly.
+        """Blocking variant for the CLI; Ctrl-C or SIGTERM stops cleanly
+        (see :func:`stop_on_sigterm`)."""
+        run_until_stopped(self.start, self._serving, self.stop)
 
-        SIGTERM is what init systems, containers, and CI runners send —
-        and a non-interactive shell backgrounding the CLI with ``&``
-        leaves SIGINT ignored, so it is the only reliable stop signal
-        there.  The handler just sets an event (no locks: it runs on
-        the main thread, possibly mid-critical-section).
-        """
-        self.start()
+    def _serving(self) -> bool:
         with self._lifecycle:
             thread = self._thread
-        assert thread is not None
-        shutdown = threading.Event()
-        try:
-            previous = signal.signal(signal.SIGTERM, lambda *_: shutdown.set())
-        except ValueError:  # not the main thread; Ctrl-C still applies
-            previous = None
-        try:
-            while thread.is_alive() and not shutdown.is_set():
-                thread.join(timeout=0.5)
-        except KeyboardInterrupt:
-            pass
-        finally:
-            if previous is not None:
-                signal.signal(signal.SIGTERM, previous)
-            self.stop()
+        return thread is not None and thread.is_alive()
 
     def __enter__(self) -> "ModelServer":
         self.start()

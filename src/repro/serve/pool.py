@@ -77,7 +77,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.obs.metrics import REGISTRY, MetricsRegistry
 from repro.obs.export import to_prometheus
 from repro.serve.config import ServeConfig
-from repro.serve.http import ModelServer
+from repro.serve.http import ModelServer, run_until_stopped
 from repro.serve.metrics import record_worker_restart, worker_restarts_snapshot
 from repro.serve.service import InferenceService
 
@@ -379,34 +379,21 @@ class ServePool:
         """Blocking variant for the CLI; Ctrl-C or SIGTERM stops cleanly.
 
         Starts the pool unless the caller already did (the CLI starts it
-        first to print the bound address).  SIGTERM matters beyond
-        politeness: init systems, containers, and CI runners stop
-        services with it, and a non-interactive shell backgrounding the
-        CLI with ``&`` leaves SIGINT ignored (so Ctrl-C semantics never
-        exist there at all).  The handler only sets an event — it runs
-        on the main thread, possibly mid-critical-section, so it must
-        not touch locks.
+        first to print the bound address); see
+        :func:`repro.serve.http.stop_on_sigterm` for the signal handling.
         """
-        with self._lock:
-            started = self._started
-        if not started:
-            self.start()
-        shutdown = threading.Event()
-        try:
-            previous = signal.signal(signal.SIGTERM, lambda *_: shutdown.set())
-        except ValueError:  # not the main thread; Ctrl-C still applies
-            previous = None
-        try:
-            while not shutdown.wait(0.5):
-                with self._lock:
-                    if self._stopping:
-                        break
-        except KeyboardInterrupt:
-            pass
-        finally:
-            if previous is not None:
-                signal.signal(signal.SIGTERM, previous)
-            self.stop()
+
+        def start_once() -> None:
+            with self._lock:
+                started = self._started
+            if not started:
+                self.start()
+
+        def running() -> bool:
+            with self._lock:
+                return not self._stopping
+
+        run_until_stopped(start_once, running, self.stop)
 
     def __enter__(self) -> "ServePool":
         self.start()
@@ -438,6 +425,7 @@ class ServePool:
     def _fork_worker(
         self, config: ServeConfig, scratch: Path, shared: socket.socket
     ) -> int:
+        supervisor = os.getpid()
         pid = os.fork()
         if pid:
             return pid
@@ -450,7 +438,7 @@ class ServePool:
                 # the child only leaks an fd per worker.
                 shared.close()
                 listen_socket = None
-            _worker_main(self.artifact, config, scratch, listen_socket)
+            _worker_main(self.artifact, config, scratch, listen_socket, supervisor)
         except BaseException:
             traceback.print_exc()
             os._exit(1)
@@ -638,18 +626,23 @@ def _worker_main(
     config: ServeConfig,
     scratch: Path,
     listen_socket: Optional[socket.socket],
+    supervisor: int,
 ) -> None:
     """Body of one forked worker; never returns (``os._exit`` on exit).
 
     Loads the artifact read-only (no re-verification — the supervisor
     already streamed the checksums), serves it over the shared address,
     and periodically snapshots its metrics into the scratch directory.
+    Exits on SIGTERM, or on the first flush tick after its parent is no
+    longer ``supervisor`` (a SIGKILLed supervisor cannot stop it).
     """
+    # First thing: the handler inherited through fork sets the
+    # supervisor's shutdown event, which this process never reads.
+    stop = threading.Event()
+    signal.signal(signal.SIGTERM, lambda *_: stop.set())
     # Fresh metrics: anything inherited through fork would be merged
     # once per worker and over-count in the pool-wide aggregation.
     REGISTRY.reset()
-    stop = threading.Event()
-    signal.signal(signal.SIGTERM, lambda *_: stop.set())
     # Ctrl-C goes to the whole process group; the supervisor turns it
     # into SIGTERM per worker, so workers ignore the raw SIGINT.
     signal.signal(signal.SIGINT, signal.SIG_IGN)
@@ -691,7 +684,7 @@ def _worker_main(
     applied = _apply_deploy(scratch, service, 0)
     _flush_metrics(scratch)
     (scratch / f"ready-{os.getpid()}").touch()
-    while not stop.wait(FLUSH_PERIOD_S):
+    while not stop.wait(FLUSH_PERIOD_S) and os.getppid() == supervisor:
         _flush_metrics(scratch)
         applied = _apply_deploy(scratch, service, applied)
     server.stop()

@@ -123,7 +123,7 @@ class TestNativeVsNumpy:
         st.integers(min_value=1, max_value=6),
         st.sampled_from([0.05, 0.5]),
     )
-    def test_loo_tile_spans(self, native_built, n, dim, seed, k, p):
+    def test_loo_row_span_tiles(self, native_built, n, dim, seed, k, p):
         X = batch(None, n, dim, seed, p)
         k = min(k, n - 1)
         native = get_backend("native")

@@ -7,8 +7,8 @@ def workers() -> int:
     return int(os.environ.get("REPRO_WORKERS", "0"))  # line 7: environ.get
 
 
-def backend() -> str:
-    return os.getenv("REPRO_BACKEND", "auto")  # line 11: os.getenv
+def kernel() -> str:
+    return os.getenv("REPRO_KERNEL", "auto")  # line 11: os.getenv
 
 
 def scale() -> str:

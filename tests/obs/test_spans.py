@@ -5,7 +5,7 @@ import os
 import pytest
 
 from repro import obs
-from repro.obs.spans import NULL_SPAN, SpanRecord, Tracer, _env_enabled
+from repro.obs.spans import NULL_SPAN, Tracer, _env_enabled
 
 
 @pytest.fixture(autouse=True)
@@ -86,31 +86,6 @@ class TestDrainAndIngest:
             pass
         assert len(obs.drain_spans()) == 1
         assert obs.spans() == []
-
-    def test_ingest_remaps_ids_and_reparents_roots(self):
-        obs.enable()
-        foreign = [
-            SpanRecord(name="w.root", span_id=1, parent_id=None,
-                       start=0.0, duration=0.5, pid=999),
-            SpanRecord(name="w.child", span_id=2, parent_id=1,
-                       start=0.1, duration=0.2, pid=999),
-        ]
-        with obs.span("dispatch") as d:
-            parent = d.span_id
-        obs.ingest_spans(foreign, parent_id=parent)
-        recs = {r.name: r for r in obs.spans()}
-        # Fresh ids, no collision with the foreign counter.
-        ids = [r.span_id for r in obs.spans()]
-        assert len(ids) == len(set(ids))
-        assert recs["w.root"].parent_id == parent
-        # Internal links survive the remap.
-        assert recs["w.child"].parent_id == recs["w.root"].span_id
-        assert recs["w.root"].pid == 999
-
-    def test_span_record_round_trips_through_dict(self):
-        rec = SpanRecord(name="x", span_id=7, parent_id=3, start=1.5,
-                         duration=0.25, attrs={"rows": 4}, pid=42)
-        assert SpanRecord.from_dict(rec.as_dict()) == rec
 
 
 class TestSpanHistogramFeed:

@@ -1,9 +1,8 @@
-"""Tests for block decomposition."""
+"""Tests for row-span decomposition."""
 
-import numpy as np
 import pytest
 
-from repro.parallel.chunking import chunk_spans, chunked_pairwise, iter_chunks
+from repro.parallel.chunking import chunk_spans
 
 
 class TestChunkSpans:
@@ -24,72 +23,3 @@ class TestChunkSpans:
             chunk_spans(-1, 4)
         with pytest.raises(ValueError):
             chunk_spans(4, 0)
-
-
-class TestIterChunks:
-    def test_views_not_copies(self, rng):
-        X = rng.normal(size=(10, 3))
-        chunks = list(iter_chunks(X, 4))
-        assert len(chunks) == 3
-        chunks[0][0, 0] = 99.0
-        assert X[0, 0] == 99.0  # a view
-
-    def test_covers_all_rows(self, rng):
-        X = rng.normal(size=(11, 2))
-        total = sum(c.shape[0] for c in iter_chunks(X, 3))
-        assert total == 11
-
-
-class TestChunkedPairwise:
-    @staticmethod
-    def kernel(A, B):
-        return A @ B.T
-
-    def test_matches_direct(self, rng):
-        A = rng.normal(size=(17, 5))
-        B = rng.normal(size=(9, 5))
-        out = chunked_pairwise(self.kernel, A, B, chunk=4)
-        assert np.allclose(out, A @ B.T)
-
-    def test_self_mode(self, rng):
-        A = rng.normal(size=(12, 4))
-        out = chunked_pairwise(self.kernel, A, chunk=5)
-        assert np.allclose(out, A @ A.T)
-
-    def test_parallel_matches(self, rng):
-        A = rng.normal(size=(20, 3))
-        a = chunked_pairwise(self.kernel, A, chunk=4, n_jobs=1)
-        b = chunked_pairwise(self.kernel, A, chunk=4, n_jobs=4)
-        assert np.allclose(a, b)
-
-    def test_empty(self):
-        out = chunked_pairwise(self.kernel, np.zeros((0, 3)), np.zeros((5, 3)))
-        assert out.shape == (0, 5)
-
-    def test_empty_defaults_to_int64(self):
-        # Regression: the zero-row result used to come back float64 even
-        # though this decomposition fronts integer Hamming kernels.
-        out = chunked_pairwise(self.kernel, np.zeros((0, 3)), np.zeros((5, 3)))
-        assert out.dtype == np.int64
-
-    def test_empty_respects_out_dtype(self):
-        out = chunked_pairwise(
-            self.kernel, np.zeros((0, 3)), np.zeros((5, 3)), out_dtype=np.float32
-        )
-        assert out.dtype == np.float32
-
-    def test_column_mismatch(self, rng):
-        with pytest.raises(ValueError, match="column"):
-            chunked_pairwise(self.kernel, rng.normal(size=(3, 2)), rng.normal(size=(3, 4)))
-
-    def test_bad_kernel_shape_detected(self, rng):
-        def bad(A, B):
-            return np.zeros((1, 1))
-
-        with pytest.raises(ValueError, match="kernel returned"):
-            chunked_pairwise(bad, rng.normal(size=(4, 2)), rng.normal(size=(4, 2)), chunk=2)
-
-    def test_out_dtype(self, rng):
-        A = rng.normal(size=(6, 2))
-        out = chunked_pairwise(self.kernel, A, chunk=2, out_dtype=np.float32)
-        assert out.dtype == np.float32

@@ -4,12 +4,7 @@ import os
 
 import pytest
 
-from repro.parallel.pool import (
-    WorkerConfig,
-    effective_workers,
-    parallel_map,
-    resolve_config,
-)
+from repro.parallel.pool import effective_workers, parallel_map
 
 
 def square(x):
@@ -37,37 +32,20 @@ class TestEffectiveWorkers:
         assert effective_workers(None) >= 1
 
 
-class TestWorkerConfig:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            WorkerConfig(workers=0, backend="threads")
-        with pytest.raises(ValueError):
-            WorkerConfig(workers=1, backend="gpu")
-
-    def test_env_backend(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "serial")
-        assert resolve_config(2).backend == "serial"
-
-
 class TestParallelMap:
     def test_order_preserved_serial(self):
         assert parallel_map(square, range(10), n_jobs=1) == [x * x for x in range(10)]
 
     def test_order_preserved_threads(self):
-        assert parallel_map(square, range(50), n_jobs=4, backend="threads") == [
+        assert parallel_map(square, range(50), n_jobs=4) == [
             x * x for x in range(50)
-        ]
-
-    def test_order_preserved_processes(self):
-        assert parallel_map(square, range(8), n_jobs=2, backend="processes") == [
-            x * x for x in range(8)
         ]
 
     def test_empty_input(self):
         assert parallel_map(square, [], n_jobs=4) == []
 
     def test_small_input_runs_serial(self):
-        # single item: no pool; closures (unpicklable for processes) still fine
+        # single item: no pool is spun up
         local = []
         assert parallel_map(lambda x: local.append(x) or x, [1], n_jobs=8) == [1]
 
@@ -78,16 +56,11 @@ class TestParallelMap:
             return x
 
         with pytest.raises(RuntimeError, match="worker failed"):
-            parallel_map(boom, range(6), n_jobs=3, backend="threads")
+            parallel_map(boom, range(6), n_jobs=3)
 
     def test_exception_type_preserved(self):
         def boom(x):
             raise KeyError("k")
 
         with pytest.raises(KeyError):
-            parallel_map(boom, range(4), n_jobs=2, backend="threads")
-
-    def test_serial_backend_forced(self):
-        assert parallel_map(square, range(5), backend="serial") == [
-            x * x for x in range(5)
-        ]
+            parallel_map(boom, range(4), n_jobs=2)

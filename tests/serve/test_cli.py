@@ -160,3 +160,116 @@ def test_subprocess_pool_sigterm_with_sigint_ignored(artifact):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=10)
+
+
+def _boot_pool(artifact, tmp_path, *extra):
+    """Start `python -m repro.serve --workers 2`; return (proc, url).
+
+    stderr goes to a file, not a pipe: orphaned workers would hold a pipe
+    open and hang any read of it.  The pool runs in its own session so
+    :func:`_kill_pool` can reap any worker that outlived a failed check.
+    """
+    env = dict(os.environ, PYTHONPATH="src")
+    stderr_path = tmp_path / "serve.stderr"
+    with open(stderr_path, "w") as stderr:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.serve",
+             "--artifact", str(artifact), "--port", "0", "--workers", "2", *extra],
+            stdout=subprocess.PIPE,
+            stderr=stderr,
+            text=True,
+            env=env,
+            cwd=os.path.dirname(os.path.dirname(os.path.dirname(__file__))),
+            start_new_session=True,
+        )
+    line = proc.stdout.readline()
+    match = re.search(r"on (http://[\d.]+:\d+)", line)
+    if not match:
+        _kill_pool(proc)
+        pytest.fail(f"no serving banner in {line!r} (stderr: {stderr_path.read_text()!r})")
+    return proc, match.group(1)
+
+
+def _kill_pool(proc):
+    """SIGKILL the pool's whole session: supervisor and any worker left."""
+    try:
+        os.killpg(proc.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    proc.wait(timeout=10)
+
+
+def _port_closes(url, timeout):
+    """True once nothing accepts on ``url`` any more (within ``timeout`` s)."""
+    deadline = time.time() + timeout
+    while time.time() < deadline:
+        try:
+            with urllib.request.urlopen(url + "/healthz", timeout=2):
+                time.sleep(0.1)
+        except OSError:
+            return True
+    return False
+
+
+def _live_children(pid):
+    """Pids whose parent is ``pid`` and that have not exited (Linux /proc)."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                fields = fh.read().rsplit(")", 1)[1].split()
+        except OSError:
+            continue
+        state, ppid = fields[0], int(fields[1])
+        if ppid == pid and state != "Z":
+            kids.append(int(entry))
+    return kids
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
+def test_pool_sigterm_on_banner_line_exits_cleanly(artifact, tmp_path):
+    """SIGTERM sent the moment the banner appears still stops the pool.
+
+    The handler is installed before the pool boots, so a SIGTERM that
+    lands before the blocking loop is waiting must not kill the
+    supervisor outright (exit -15) and leave its workers serving.
+    ``--watch-artifact`` hashes the artifact between the banner and that
+    loop, which holds the window open long enough to hit every time.
+    """
+    for _ in range(5):
+        proc, url = _boot_pool(artifact, tmp_path, "--watch-artifact")
+        try:
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=20) == 0
+            assert _port_closes(url, timeout=10), "a worker outlived the supervisor"
+        finally:
+            _kill_pool(proc)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="needs Linux /proc")
+def test_pool_workers_exit_when_supervisor_is_killed(artifact, tmp_path):
+    """Workers notice a SIGKILLed supervisor at their next flush tick."""
+    from repro.serve.pool import FLUSH_PERIOD_S
+
+    proc, url = _boot_pool(artifact, tmp_path)
+    workers = _live_children(proc.pid)
+    try:
+        assert len(workers) == 2
+        os.kill(proc.pid, signal.SIGKILL)  # the supervisor only
+        proc.wait(timeout=10)
+        deadline = time.time() + 8 * FLUSH_PERIOD_S
+        while time.time() < deadline and any(_alive(pid) for pid in workers):
+            time.sleep(0.05)
+        assert not any(_alive(pid) for pid in workers), "orphaned workers still running"
+        assert _port_closes(url, timeout=2)
+    finally:
+        _kill_pool(proc)
